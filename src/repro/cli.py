@@ -4,9 +4,9 @@ Commands:
 
 * ``run``             simulate one (scheme, workload) pair and print metrics
                       (``--checkpoint-every``/``--resume``: crash-safe runs)
-* ``sweep``           supervised parallel sweep with watchdog + resume
-                      (``--distributed``: server + worker fleet, see
-                      docs/SWEEP_SERVICE.md)
+* ``sweep``           checkpointed sweep with watchdog + resume: in-process
+                      at ``--jobs 1``, a local server + worker fleet
+                      otherwise (see docs/SWEEP_SERVICE.md)
 * ``sweepd``          the distributed sweep service itself
                       (``serve``/``work``/``submit``/``status``)
 * ``report``          regenerate every table/figure (cached)
@@ -146,12 +146,12 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos-kill-worker", action="append", default=None,
                         metavar="SLOT:STEPS",
                         help="SIGKILL worker SLOT once it heartbeats past "
-                             "STEPS simulated ops (repeatable; "
-                             "--distributed only)")
+                             "STEPS simulated ops (repeatable; sweep only, "
+                             "runs the fleet even at --jobs 1)")
     parser.add_argument("--chaos-restart-server-after", type=int, default=None,
                         metavar="N",
                         help="SIGKILL + relaunch the server after N results "
-                             "(--distributed only)")
+                             "(sweep only, runs the fleet even at --jobs 1)")
 
 
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -279,8 +279,9 @@ EXIT_MANIFEST_VERSION = 4
 def _results_digest(results) -> str:
     """Order-independent digest of a sweep's aggregated result set.
 
-    The same digest is printed by the serial, supervised, and distributed
-    sweep paths, so CI can gate on bit-identical aggregation across them.
+    Printed by every sweep, whatever its ``--jobs`` and faults, so CI can
+    gate on bit-identical results between an in-process ``--jobs 1``
+    reference and a fleet run under chaos or storage faults.
     """
     import hashlib
     import json
@@ -319,6 +320,8 @@ def _fleet_chaos_from_args(args: argparse.Namespace):
                 f"error: --chaos-kill-worker expects SLOT:STEPS, got {spec!r}"
             )
         kills[int(slot)] = int(steps)
+    if not kills and args.chaos_restart_server_after is None:
+        return None
     return FleetChaos(
         kill_worker_mid_job=kills,
         restart_server_after_results=args.chaos_restart_server_after,
@@ -341,8 +344,8 @@ def _message_chaos_from_args(args: argparse.Namespace):
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.common.errors import SweepError
-    from repro.experiments.supervisor import SweepSupervisor
+    from repro.common.errors import SweepdError, SweepError
+    from repro.sweepd.fleet import load_sweep, run_sweep
 
     runner = ExperimentRunner(
         scale=args.scale,
@@ -353,50 +356,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
         faults=_resolve_faults(args),
         max_attempts=args.max_attempts,
     )
-    if args.distributed:
-        return _sweep_distributed(args, runner)
-    supervisor = SweepSupervisor(
-        runner,
-        args.checkpoint_root,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_seconds=args.heartbeat_seconds,
-        stall_timeout=args.stall_timeout,
-    )
     try:
         if args.resume:
-            results = supervisor.resume(jobs=args.jobs)
+            requests = load_sweep(runner, args.checkpoint_root)
         else:
-            results = supervisor.run(_sweep_requests(args), jobs=args.jobs)
-    except ManifestVersionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return EXIT_MANIFEST_VERSION
-    except CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except SweepError as error:
-        print(f"sweep incomplete: {error}", file=sys.stderr)
-        print(f"resume with: python -m repro sweep --resume "
-              f"--checkpoint-root {args.checkpoint_root}", file=sys.stderr)
-        return 1
-    print(f"sweep complete: {len(results)} result(s) "
-          f"(workers killed by watchdog: {supervisor.kills}, "
-          f"resumed from checkpoint: {sum(supervisor.resumes.values())})")
-    print(f"results digest: {_results_digest(results)}")
-    return 0
-
-
-def _sweep_distributed(args: argparse.Namespace, runner) -> int:
-    from repro.common.errors import SweepdError, SweepError
-    from repro.sweepd.fleet import run_distributed_sweep
-
-    try:
-        results, report = run_distributed_sweep(
+            requests = _sweep_requests(args)
+        results, report = run_sweep(
             runner,
-            _sweep_requests(args),
+            requests,
             args.checkpoint_root,
-            workers=args.workers,
+            jobs=args.jobs,
             chaos=_message_chaos_from_args(args),
             fleet_chaos=_fleet_chaos_from_args(args),
             lease_seconds=args.lease_seconds,
@@ -408,14 +377,17 @@ def _sweep_distributed(args: argparse.Namespace, runner) -> int:
         if error.hint:
             print(f"hint: {error.hint}", file=sys.stderr)
         return EXIT_MANIFEST_VERSION
-    except SweepdError as error:
-        print(f"sweep service error: {error}", file=sys.stderr)
+    except (CheckpointError, SweepdError) as error:
+        print(f"error: {error}", file=sys.stderr)
         return 1
     except SweepError as error:
         print(f"sweep incomplete: {error}", file=sys.stderr)
+        print(f"resume with: python -m repro sweep --resume "
+              f"--checkpoint-root {args.checkpoint_root}", file=sys.stderr)
         return 1
-    print(f"distributed sweep complete: {len(results)} result(s) "
-          f"(workers: {args.workers}, relaunches: {report.worker_relaunches}, "
+    print(f"sweep complete: {len(results)} result(s) "
+          f"({report.jobs_already_done} cached, "
+          f"worker relaunches: {report.worker_relaunches}, "
           f"lease reclaims: {report.reclaims}, "
           f"chaos kills: {report.chaos_worker_kills}, "
           f"server restarts: {report.chaos_server_restarts})")
@@ -482,7 +454,7 @@ def _sweepd_work(args: argparse.Namespace) -> int:
 
 
 def _sweepd_submit(args: argparse.Namespace) -> int:
-    from repro.sweepd.jobs import build_job
+    from repro.sweepd.fleet import submission
     from repro.sweepd.protocol import RpcClient, read_address_file
 
     runner = ExperimentRunner(
@@ -493,21 +465,14 @@ def _sweepd_submit(args: argparse.Namespace) -> int:
         faults=_resolve_faults(args),
         worker_check_level=args.worker_check_level,
     )
-    records = [
-        build_job(request, runner._sizing(), runner.faults)
-        for request in _sweep_requests(args)
-    ]
+    requests = _sweep_requests(args)
     address = args.address or read_address_file(args.root)
     with RpcClient(address) as rpc:
-        reply = rpc.call({
-            "type": "submit",
-            "priority": args.priority,
-            "jobs": [record.to_json() for record in records],
-        })
+        reply = rpc.call(submission(runner, requests, args.priority))
     if reply.get("type") == "error":
         print(f"error: {reply.get('error')}", file=sys.stderr)
         return 1
-    print(f"submitted {len(records)} job(s) on the {args.priority} lane: "
+    print(f"submitted {len(requests)} job(s) on the {args.priority} lane: "
           f"{len(reply.get('new', []))} new, "
           f"{len(reply.get('known', []))} already queued, "
           f"{len(reply.get('already_done', []))} already cached")
@@ -677,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(handler=_command_run)
 
     sweep_parser = commands.add_parser(
-        "sweep", help="supervised parallel sweep with checkpoint/resume"
+        "sweep", help="checkpointed parallel sweep with watchdog/resume"
     )
     sweep_parser.add_argument("--schemes", nargs="+",
                               default=["pageseer", "pom", "mempod"],
@@ -686,30 +651,31 @@ def build_parser() -> argparse.ArgumentParser:
                               help="workload names (default: all 26)")
     sweep_parser.add_argument("--variants", nargs="+", default=["default"],
                               choices=sorted(VARIANTS))
-    sweep_parser.add_argument("--jobs", type=int, default=None)
+    sweep_parser.add_argument("--jobs", "--workers", type=int, default=None,
+                              dest="jobs",
+                              help="parallel jobs (default: CPU count); 1 "
+                                   "runs in this process, more start a "
+                                   "local server + worker fleet")
     sweep_parser.add_argument("--checkpoint-root", default="checkpoints/sweep",
-                              help="directory for the manifest and the "
-                                   "per-request checkpoint directories")
+                              help="service root: the manifest and the "
+                                   "per-job checkpoint directories")
     sweep_parser.add_argument("--checkpoint-every", type=int, default=20_000,
                               metavar="OPS")
     sweep_parser.add_argument("--heartbeat-seconds", type=float, default=0.5)
-    sweep_parser.add_argument("--stall-timeout", type=float, default=30.0,
-                              help="seconds without a heartbeat before the "
-                                   "watchdog kills and resumes a worker")
+    sweep_parser.add_argument("--lease-seconds", "--stall-timeout", type=float,
+                              default=15.0, dest="lease_seconds",
+                              help="seconds without a job heartbeat before "
+                                   "the job is killed (or its dead worker's "
+                                   "lease reclaimed) and resumed elsewhere")
     sweep_parser.add_argument("--max-attempts", type=int, default=3)
     sweep_parser.add_argument("--resume", action="store_true",
                               help="continue the sweep recorded in "
                                    "--checkpoint-root's manifest")
     sweep_parser.add_argument("--quiet", action="store_true")
     sweep_parser.add_argument("--distributed", action="store_true",
-                              help="run through the sweepd service: a local "
-                                   "work-queue server plus --workers worker "
-                                   "processes (docs/SWEEP_SERVICE.md)")
-    sweep_parser.add_argument("--workers", type=int, default=2,
-                              help="worker processes for --distributed")
-    sweep_parser.add_argument("--lease-seconds", type=float, default=5.0,
-                              help="job lease duration; an expired lease is "
-                                   "reclaimed from its (dead or hung) worker")
+                              help="accepted for compatibility: every sweep "
+                                   "with --jobs above 1 runs on the sweepd "
+                                   "fleet (docs/SWEEP_SERVICE.md)")
     _add_chaos_arguments(sweep_parser)
     _add_sizing_arguments(sweep_parser)
     _add_fault_arguments(sweep_parser)

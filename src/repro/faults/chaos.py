@@ -12,7 +12,7 @@ infrastructure itself.  Two layers:
   given the same message sequence; the service's correctness contract is
   that aggregated results are bit-identical regardless.
 * :class:`FleetChaos` — a process-level script executed by the local
-  fleet driver (``repro sweep --distributed``): SIGKILL worker *i* the
+  fleet driver (``repro sweep --chaos-kill-worker ...``): SIGKILL worker *i* the
   moment it is observed simulating past a step threshold (guaranteeing a
   mid-job kill with a checkpoint behind it), and/or SIGKILL + relaunch
   the server itself once N results have been aggregated.

@@ -109,7 +109,7 @@ def _probe_journal(path: Path) -> Tuple[str, str, int]:
             f"{len(bad)} unparseable line(s), first at line {bad[0][0]}", -1)
 
 
-def _quarantine(path: Path) -> Optional[Path]:
+def quarantine(path: Path) -> Optional[Path]:
     """Move *path* into a ``quarantine/`` sibling; None when that fails."""
     target_dir = path.parent / QUARANTINE_DIRNAME
     try:
@@ -141,7 +141,7 @@ def _restore_bytes(source: Path, destination: Path) -> bool:
 def _repair_checkpoint(finding: Finding) -> None:
     """Quarantine a corrupt checkpoint; promote a generation for latest."""
     path = finding.path
-    moved = _quarantine(path)
+    moved = quarantine(path)
     if moved is None:
         finding.repair = "quarantine failed (permissions?)"
         return
@@ -164,7 +164,7 @@ def _repair_checkpoint(finding: Finding) -> None:
 def _repair_json(finding: Finding) -> None:
     """Quarantine a corrupt JSON file; promote its ``.bak`` when good."""
     path = finding.path
-    moved = _quarantine(path)
+    moved = quarantine(path)
     if moved is None:
         finding.repair = "quarantine failed (permissions?)"
         return
@@ -193,7 +193,7 @@ def _repair_journal(finding: Finding, torn_offset: int) -> None:
         finding.repair = f"truncated torn tail at byte {torn_offset}"
         finding.status = "repaired"
         return
-    moved = _quarantine(path)
+    moved = quarantine(path)
     if moved is None:
         finding.repair = "quarantine failed (permissions?)"
         return

@@ -15,22 +15,19 @@ bit-identically on restore.  It fires on three conditions:
   flag; writes one final ``latest.ckpt`` and raises
   :class:`repro.common.errors.CheckpointInterrupt` to unwind the run.
 
-It also touches a heartbeat file (mtime = liveness) at most once per
-``heartbeat_seconds`` so the sweep watchdog can tell "slow" from "hung".
-A ``heartbeat_hook`` callback, when given, is invoked with the current
-step count on the same cadence — the distributed sweep worker uses it to
-stream heartbeats to the ``sweepd`` server over its socket (the hook
-must swallow its own I/O errors; a flaky network must not kill the
-simulation).  Wall-clock use is fine here: this package is deliberately
-outside the simulator packages the RL001 determinism lint patrols, and
-nothing the heartbeat does feeds back into simulated state.
+It also rewrites a heartbeat file at most once per ``heartbeat_seconds``
+— its mtime is liveness, its content the current step count — so the
+sweep worker's watchdog can tell "slow" from "hung" and forward progress
+to the ``sweepd`` server.  Wall-clock use is fine here: this package is
+deliberately outside the simulator packages the RL001 determinism lint
+patrols, and nothing the heartbeat does feeds back into simulated state.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.common.errors import CheckpointInterrupt, PersistError
 from repro.snapshot.checkpoint import (
@@ -57,14 +54,12 @@ class Checkpointer:
         cut_points: Sequence[int] = (),
         heartbeat_seconds: float = 0.0,
         signals: Optional[SignalGuard] = None,
-        heartbeat_hook: Optional[Callable[[int], None]] = None,
         keep_generations: int = DEFAULT_KEEP_GENERATIONS,
     ):
         self.directory = Path(directory)
         self.every_ops = int(every_ops)
         self.cut_points: List[int] = sorted(int(c) for c in cut_points)
         self.heartbeat_seconds = float(heartbeat_seconds)
-        self.heartbeat_hook = heartbeat_hook
         self.signals = signals
         self.keep_generations = int(keep_generations)
         self.latest_path = self.directory / LATEST_NAME
@@ -91,12 +86,12 @@ class Checkpointer:
 
     def _touch_heartbeat(self, steps: int) -> None:
         try:
-            self.heartbeat_path.touch()
+            # A liveness beacon, not durable state: a torn or lost write
+            # costs one stale reading, so it bypasses repro.persist.
+            self.heartbeat_path.write_text(str(steps))  # repro-lint: disable=RL007
         except OSError:
             pass  # a full disk must not kill the run; mtime just goes stale
         self._next_heartbeat = time.monotonic() + self.heartbeat_seconds
-        if self.heartbeat_hook is not None:
-            self.heartbeat_hook(steps)
 
     def _write(self, system, path: Path) -> Optional[Path]:
         rotate = self.keep_generations if path == self.latest_path else 0
@@ -155,12 +150,3 @@ class Checkpointer:
         # path is None when the final write failed at the storage layer;
         # CheckpointInterrupt documents that contract.
         raise CheckpointInterrupt(path=path, signum=signum)
-
-    def finalize_now(self, system) -> Optional[Path]:
-        """Write a final ``latest.ckpt`` outside the step loop (no raise).
-
-        Returns None when the write failed at the storage layer (the
-        failure is recorded in :attr:`write_failures`).
-        """
-        self._finalized = True
-        return self._write(system, self.latest_path)

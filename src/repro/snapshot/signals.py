@@ -12,8 +12,8 @@ The guard is a context manager and restores the previous handlers on
 exit, so nested non-checkpointed work (e.g. report generation after a
 run) keeps default signal behaviour.  Outside the main thread — where
 CPython forbids installing handlers — the guard degrades to an inert
-flag holder rather than failing, because supervised sweep workers get
-their lifecycle managed by the watchdog instead.
+flag holder rather than failing, because sweep jobs get their lifecycle
+managed by their worker's watchdog instead.
 """
 
 from __future__ import annotations

@@ -31,6 +31,9 @@ DIVERGENT = "divergent"
 
 AGGREGATOR_LOG = "aggregator.jsonl"
 
+#: Writes one result may take to land intact in the cache.
+_STORE_TRIES = 5
+
 
 def read_audit_log(path: Union[str, Path]) -> Tuple[List[Dict[str, object]], int]:
     """Replay an ``aggregator.jsonl`` audit log, tolerating a torn tail.
@@ -135,15 +138,29 @@ class ResultAggregator:
             self._log(job_id, verdict, digest, worker, known=known)
             return (verdict, digest)
 
-        from repro.experiments.jobcore import write_json_atomic
+        from repro.common.errors import PersistError, PersistWriteError
         from repro.experiments.runner import _METRIC_FIELDS
 
         entry = {name: payload[name] for name in _METRIC_FIELDS}
-        # May raise PersistWriteError (ENOSPC, EIO, injected storage
-        # fault).  Deliberately BEFORE the accept/ack bookkeeping: a
-        # result that did not land durably must not be acknowledged, so
-        # the job stays retryable and no acknowledged result is ever lost.
-        write_json_atomic(self._cache_path(cache_key), entry, site="cache")
+        path = self._cache_path(cache_key)
+        # Deliberately BEFORE the accept/ack bookkeeping: a result that
+        # did not land durably must not be acknowledged, so the job stays
+        # retryable and no acknowledged result is ever lost.  "Durably"
+        # means read back intact — a torn write or bit-rot lies about
+        # success — and a refused or lying write gets a few fresh tries
+        # before the PersistWriteError sends the job back to the queue.
+        for _ in range(_STORE_TRIES):
+            try:
+                persist.write_json(path, entry, site="cache")
+            except PersistError:
+                continue
+            if self.cached_digest(cache_key) == digest:
+                break
+        else:
+            raise PersistWriteError(
+                f"result for {job_id} did not land intact in "
+                f"{_STORE_TRIES} writes", path=path, site="cache",
+            )
         self._accepted[job_id] = digest
         self._log(job_id, STORED, digest, worker)
         return (STORED, digest)

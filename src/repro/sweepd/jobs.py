@@ -32,6 +32,15 @@ PRIORITIES = {"interactive": 0, "bulk": 1}
 PRIORITY_BULK = PRIORITIES["bulk"]
 
 
+def sizing_from_wire(sizing: dict) -> Sizing:
+    """The sizing tuple of a job's (or lease's) sizing dict."""
+    return (
+        int(sizing["scale"]), int(sizing["measure_ops"]),
+        int(sizing["warmup_ops"]), int(sizing["seed"]),
+        str(sizing["check_level"]),
+    )
+
+
 def job_id_for(request: Request, sizing: Sizing, faults: Optional[FaultConfig]) -> str:
     """Deterministic job id: a digest of the result-cache key."""
     return hashlib.sha256(cache_key(request, sizing, faults).encode()).hexdigest()[:16]
@@ -77,12 +86,7 @@ class JobRecord:
         return (self.scheme, self.workload, self.variant)
 
     def sizing_tuple(self) -> Sizing:
-        sizing = self.sizing
-        return (
-            int(sizing["scale"]), int(sizing["measure_ops"]),
-            int(sizing["warmup_ops"]), int(sizing["seed"]),
-            str(sizing["check_level"]),
-        )
+        return sizing_from_wire(self.sizing)
 
     # -- persistence -------------------------------------------------------
     _PERSISTED = (

@@ -36,14 +36,14 @@ from repro.common.errors import (
     PersistError,
     SweepdError,
 )
-from repro.experiments.jobcore import write_json_atomic
-from repro.sweepd.jobs import DONE, LEASED, PENDING, QUARANTINED, JobRecord
+from repro.sweepd.jobs import DONE, JOB_STATES, LEASED, PENDING, QUARANTINED, JobRecord
 
 SWEEPD_MANIFEST_VERSION = 1
 MANIFEST_NAME = "sweepd-manifest.json"
 
-_MANIFEST_HINT = (
-    "start a fresh service root, or run the build that wrote this manifest"
+MANIFEST_HINT = (
+    "start a fresh sweep with a new --checkpoint-root (service root), or "
+    "resume with the build that wrote this manifest"
 )
 
 #: Base seconds for the re-lease backoff of a failed job (doubles per
@@ -97,7 +97,7 @@ class JobManifest:
             ],
         }
         try:
-            write_json_atomic(self.path, payload, site="manifest", backup=True)
+            persist.write_json(self.path, payload, site="manifest", backup=True)
         except PersistError:
             self.persist_failures += 1
             return False
@@ -121,7 +121,7 @@ class JobManifest:
                 f"{self.path}: binary (pickled) manifest from an older "
                 f"build; this build reads JSON manifests at version "
                 f"{SWEEPD_MANIFEST_VERSION}",
-                hint=_MANIFEST_HINT,
+                hint=MANIFEST_HINT,
             )
         try:
             payload = persist.verify_json_bytes(raw, self.path, "manifest")
@@ -144,14 +144,14 @@ class JobManifest:
             raise ManifestVersionError(
                 f"{self.path}: manifest version {version} unsupported "
                 f"(this build reads {SWEEPD_MANIFEST_VERSION})",
-                hint=_MANIFEST_HINT,
+                hint=MANIFEST_HINT,
             )
         jobs = payload.get("jobs")
         if not isinstance(jobs, list):
             raise ManifestVersionError(
                 f"{self.path}: version-{SWEEPD_MANIFEST_VERSION} manifest "
                 f"without a job list — written by an incompatible build",
-                hint=_MANIFEST_HINT,
+                hint=MANIFEST_HINT,
             )
         self.jobs = {}
         for entry in jobs:
@@ -161,7 +161,7 @@ class JobManifest:
                 raise ManifestVersionError(
                     f"{self.path}: job entry does not match this build's "
                     f"schema ({exc})",
-                    hint=_MANIFEST_HINT,
+                    hint=MANIFEST_HINT,
                 )
             self.jobs[record.job_id] = record
         self._submit_seq = max(
@@ -175,13 +175,19 @@ class JobManifest:
 
         Resubmitting a known job is a no-op — except that a *pending*
         job resubmitted on a hotter priority lane is promoted, which is
-        how an interactive request preempts an already-queued bulk job.
+        how an interactive request preempts an already-queued bulk job,
+        and a *quarantined* job is requeued with a fresh attempt budget:
+        resubmission is how a resumed sweep retries what it gave up on.
         """
         new_ids: List[str] = []
         known_ids: List[str] = []
         for record in records:
             existing = self.jobs.get(record.job_id)
             if existing is not None:
+                if existing.state == QUARANTINED:
+                    existing.state = PENDING
+                    existing.attempts = 0
+                    existing.not_before = 0.0
                 if existing.state == PENDING and record.priority < existing.priority:
                     existing.priority = record.priority
                 known_ids.append(record.job_id)
@@ -266,10 +272,17 @@ class JobManifest:
         self, job_id: str, worker: Optional[str], error: str,
         retryable: bool, now: float,
     ) -> str:
-        """Record a failed attempt; returns the job's new state."""
+        """Record a failed attempt; returns the job's new state.
+
+        A report from a *worker* that no longer holds the lease is stale
+        (the lease expired and the attempt was already charged) and
+        changes nothing.
+        """
         record = self.jobs.get(job_id)
         if record is None or record.state == DONE:
             return DONE
+        if worker is not None and record.lease_worker != worker:
+            return record.state
         record.errors.append(error)
         record.lease_worker = None
         record.lease_deadline = 0.0
@@ -309,7 +322,7 @@ class JobManifest:
 
     # -- queries -----------------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        out = {state: 0 for state in (PENDING, LEASED, DONE, QUARANTINED)}
+        out = {state: 0 for state in JOB_STATES}
         for record in self.jobs.values():
             out[record.state] += 1
         return out

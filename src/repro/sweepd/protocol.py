@@ -223,7 +223,7 @@ def listener_address(listener: "socket.socket") -> str:
 
 def write_address_file(root: Union[str, Path], spec: str) -> Path:
     from repro.common.errors import PersistError
-    from repro.experiments.jobcore import write_json_atomic
+    from repro import persist
 
     # Retried: the address file is the rendezvous the whole fleet needs,
     # and one refused write (a storage-fault storm, a transient ENOSPC)
@@ -231,7 +231,7 @@ def write_address_file(root: Union[str, Path], spec: str) -> Path:
     last: Optional[PersistError] = None
     for _ in range(5):
         try:
-            return write_json_atomic(
+            return persist.write_json(
                 Path(root) / ADDRESS_FILE, {"address": spec}, site="address"
             )
         except PersistError as exc:

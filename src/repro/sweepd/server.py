@@ -1,11 +1,15 @@
-"""The sweep service's work-queue server.
+"""The sweep service's work queue and its socket server.
 
-A single-threaded ``selectors`` event loop: accept connections, reassemble
-frames, dispatch to idempotent handlers, queue replies.  The server owns
-the :class:`repro.sweepd.manifest.JobManifest` (persisted atomically on
+:class:`JobService` is the queue itself: it owns the
+:class:`repro.sweepd.manifest.JobManifest` (persisted atomically on
 every state change) and the :class:`repro.sweepd.aggregator
-.ResultAggregator` (the exactly-once result sink); workers and
-submitters only ever talk to it through the protocol.
+.ResultAggregator` (the exactly-once result sink), and answers protocol
+messages through idempotent handlers.  A one-job sweep drives it
+in-process, message by message (:func:`repro.sweepd.fleet.run_sweep`).
+:class:`SweepdServer` puts it behind a single-threaded ``selectors``
+event loop: accept connections, reassemble frames, dispatch, queue
+replies.  Workers and submitters only ever talk to it through the
+protocol.
 
 Idempotency is the load-bearing property: every request handler computes
 the reply purely from durable state, so a retried request (same ``seq``)
@@ -58,18 +62,19 @@ class _Connection:
         self.closing = False
 
 
-class SweepdServer:
-    """Work-queue server: manifest, aggregator, and protocol endpoint."""
+class JobService:
+    """The work queue: manifest, aggregator, and message handlers."""
+
+    #: Where workers reach the service; None for an in-process queue.
+    address: Optional[str] = None
 
     def __init__(
         self,
         root: Union[str, Path],
         cache_dir: Union[str, Path],
         *,
-        address: Optional[str] = None,
         max_attempts: int = 3,
         lease_seconds: float = 15.0,
-        chaos: Optional[ChaosConfig] = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -77,23 +82,6 @@ class SweepdServer:
             self.root, max_attempts=max_attempts, lease_seconds=lease_seconds
         )
         self.aggregator = ResultAggregator(self.root, cache_dir)
-        self.chaos = chaos
-        self._recv_rng = DeterministicRng(
-            "chaos/recv", chaos.chaos_seed if chaos else 0
-        )
-        self._send_rng = DeterministicRng(
-            "chaos/send", chaos.chaos_seed if chaos else 0
-        )
-        self._stall_rng = DeterministicRng(
-            "chaos/stall", chaos.chaos_seed if chaos else 0
-        )
-        self._selector = selectors.DefaultSelector()
-        self._listener = create_listener(address or default_address(self.root))
-        self._selector.register(self._listener, selectors.EVENT_READ, None)
-        self.address = listener_address(self._listener)
-        write_address_file(self.root, self.address)
-        self._connections: Dict[socket.socket, _Connection] = {}
-        self._stopping = False
         self._dirty = False
         #: Wall-clock lease-grant times and completed-job durations for
         #: the status reply's ETA estimate.
@@ -121,124 +109,17 @@ class SweepdServer:
             if digest is not None:
                 self.manifest.mark_done(record.job_id, digest)
 
-    def close(self) -> None:
-        for conn in list(self._connections.values()):
-            self._discard(conn)
-        self._selector.unregister(self._listener)
-        self._listener.close()
-        self._selector.close()
-        if self._dirty:
-            self.manifest.persist()
-            self._dirty = False
-
-    def serve_forever(self, *, poll_seconds: float = 0.05) -> None:
-        """Run until a ``shutdown`` request arrives (or stop() is called)."""
-        try:
-            while not self._stopping:
-                self.tick(poll_seconds)
-        finally:
-            self.close()
-
-    def stop(self) -> None:
-        self._stopping = True
-
-    # -- event loop --------------------------------------------------------
-    def tick(self, poll_seconds: float = 0.05) -> None:
-        """One loop iteration: I/O, expiry sweep, persistence."""
-        for key, events in self._selector.select(timeout=poll_seconds):
-            if key.fileobj is self._listener:
-                self._accept()
-                continue
-            conn = self._connections.get(key.fileobj)  # type: ignore[arg-type]
-            if conn is None:
-                continue
-            if events & selectors.EVENT_READ:
-                self._read(conn)
-            if events & selectors.EVENT_WRITE:
-                self._flush(conn)
-        now = time.monotonic()
-        if self.manifest.reclaim_expired(now):
+    def sync(self) -> None:
+        """Reclaim expired leases and persist any state change."""
+        if self.manifest.reclaim_expired(time.monotonic()):
             self._dirty = True
         if self._dirty:
             self.manifest.persist()
             self._dirty = False
 
-    def _accept(self) -> None:
-        try:
-            sock, _ = self._listener.accept()
-        except OSError:
-            return
-        sock.setblocking(False)
-        conn = _Connection(sock)
-        self._connections[sock] = conn
-        self._selector.register(sock, selectors.EVENT_READ, None)
-
-    def _discard(self, conn: _Connection) -> None:
-        self._connections.pop(conn.sock, None)
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    def _read(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._discard(conn)
-            return
-        if not data:
-            self._discard(conn)
-            return
-        try:
-            messages = conn.frames.feed(data)
-        except SweepdError:
-            # A corrupt stream is this connection's problem, not the
-            # service's: drop the peer, its RpcClient will reconnect.
-            self._discard(conn)
-            return
-        stall = chaos_stall(self._stall_rng, self.chaos)
-        if stall > 0.0:
-            time.sleep(stall)
-        messages = apply_chaos(messages, self._recv_rng, self.chaos)
-        replies: List[Message] = []
-        for message in messages:
-            reply = self._dispatch(message)
-            if reply is not None and "seq" in message:
-                reply["seq"] = message["seq"]
-                replies.append(reply)
-        replies = apply_chaos(replies, self._send_rng, self.chaos)
-        for reply in replies:
-            conn.out.extend(encode_frame(reply))
-        self._flush(conn)
-        if conn.closing and not conn.out:
-            self._discard(conn)
-
-    def _flush(self, conn: _Connection) -> None:
-        while conn.out:
-            try:
-                sent = conn.sock.send(bytes(conn.out))
-            except BlockingIOError:
-                break
-            except OSError:
-                self._discard(conn)
-                return
-            del conn.out[:sent]
-        want = selectors.EVENT_READ
-        if conn.out:
-            want |= selectors.EVENT_WRITE
-        try:
-            self._selector.modify(conn.sock, want, None)
-        except (KeyError, ValueError):
-            pass
-
     # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, message: Message) -> Optional[Message]:
+    def handle(self, message: Message) -> Optional[Message]:
+        """Answer one protocol message (None for fire-and-forget ones)."""
         kind = message.get("type")
         worker = message.get("worker")
         if isinstance(worker, str):
@@ -363,8 +244,8 @@ class SweepdServer:
             records.append(record)
         new_ids, known_ids = self.manifest.submit(records)
         # Cache-aware admission: anything already simulated (by a serial
-        # run, a supervised sweep, or a previous service) is done on
-        # arrival — workers never re-run it.
+        # run or an earlier sweep) is done on arrival — workers never
+        # re-run it.
         done_ids = []
         for job_id in new_ids:
             record = self.manifest.jobs[job_id]
@@ -418,3 +299,143 @@ class SweepdServer:
             return None
         average = sum(self._durations) / len(self._durations)
         return average * outstanding / live
+
+
+class SweepdServer(JobService):
+    """:class:`JobService` behind a socket: the protocol endpoint."""
+
+    def __init__(
+        self,
+        root: Union[str, Path],
+        cache_dir: Union[str, Path],
+        *,
+        address: Optional[str] = None,
+        max_attempts: int = 3,
+        lease_seconds: float = 15.0,
+        chaos: Optional[ChaosConfig] = None,
+    ) -> None:
+        super().__init__(
+            root, cache_dir, max_attempts=max_attempts, lease_seconds=lease_seconds
+        )
+        self.chaos = chaos
+        seed = chaos.chaos_seed if chaos else 0
+        self._recv_rng = DeterministicRng("chaos/recv", seed)
+        self._send_rng = DeterministicRng("chaos/send", seed)
+        self._stall_rng = DeterministicRng("chaos/stall", seed)
+        self._selector = selectors.DefaultSelector()
+        self._listener = create_listener(address or default_address(self.root))
+        self._selector.register(self._listener, selectors.EVENT_READ, None)
+        self.address = listener_address(self._listener)
+        write_address_file(self.root, self.address)
+        self._connections: Dict[socket.socket, _Connection] = {}
+        self._stopping = False
+
+    # -- lifecycle ---------------------------------------------------------
+    def close(self) -> None:
+        for conn in list(self._connections.values()):
+            self._discard(conn)
+        self._selector.unregister(self._listener)
+        self._listener.close()
+        self._selector.close()
+        self.sync()
+
+    def serve_forever(self, *, poll_seconds: float = 0.05) -> None:
+        """Run until a ``shutdown`` request arrives (or stop() is called)."""
+        try:
+            while not self._stopping:
+                self.tick(poll_seconds)
+        finally:
+            self.close()
+
+    def stop(self) -> None:
+        self._stopping = True
+
+    # -- event loop --------------------------------------------------------
+    def tick(self, poll_seconds: float = 0.05) -> None:
+        """One loop iteration: I/O, expiry sweep, persistence."""
+        for key, events in self._selector.select(timeout=poll_seconds):
+            if key.fileobj is self._listener:
+                self._accept()
+                continue
+            conn = self._connections.get(key.fileobj)  # type: ignore[arg-type]
+            if conn is None:
+                continue
+            if events & selectors.EVENT_READ:
+                self._read(conn)
+            if events & selectors.EVENT_WRITE:
+                self._flush(conn)
+        self.sync()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock)
+        self._connections[sock] = conn
+        self._selector.register(sock, selectors.EVENT_READ, None)
+
+    def _discard(self, conn: _Connection) -> None:
+        self._connections.pop(conn.sock, None)
+        try:
+            self._selector.unregister(conn.sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            conn.sock.close()
+        except OSError:
+            pass
+
+    def _read(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._discard(conn)
+            return
+        if not data:
+            self._discard(conn)
+            return
+        try:
+            messages = conn.frames.feed(data)
+        except SweepdError:
+            # A corrupt stream is this connection's problem, not the
+            # service's: drop the peer, its RpcClient will reconnect.
+            self._discard(conn)
+            return
+        stall = chaos_stall(self._stall_rng, self.chaos)
+        if stall > 0.0:
+            time.sleep(stall)
+        messages = apply_chaos(messages, self._recv_rng, self.chaos)
+        replies: List[Message] = []
+        for message in messages:
+            reply = self.handle(message)
+            if reply is not None and "seq" in message:
+                reply["seq"] = message["seq"]
+                replies.append(reply)
+        replies = apply_chaos(replies, self._send_rng, self.chaos)
+        for reply in replies:
+            conn.out.extend(encode_frame(reply))
+        self._flush(conn)
+        if conn.closing and not conn.out:
+            self._discard(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        while conn.out:
+            try:
+                sent = conn.sock.send(bytes(conn.out))
+            except BlockingIOError:
+                break
+            except OSError:
+                self._discard(conn)
+                return
+            del conn.out[:sent]
+        want = selectors.EVENT_READ
+        if conn.out:
+            want |= selectors.EVENT_WRITE
+        try:
+            self._selector.modify(conn.sock, want, None)
+        except (KeyError, ValueError):
+            pass

@@ -10,7 +10,7 @@ restored in a subprocess and driven to completion.
 Also covered here: the CLI signal protocol (SIGINT/SIGTERM write one
 final checkpoint and exit 75; a second signal force-quits), the fault
 matrix's "worker SIGKILLed mid-run, resumed, digest identical" row, and
-the sweep supervisor's watchdog + resume behaviour.
+the sweep executor's watchdog + resume behaviour.
 """
 
 import dataclasses
@@ -32,9 +32,12 @@ from repro.check.golden import (
     payload_digest,
 )
 from repro.common.config import CheckConfig, FaultConfig
+from repro.experiments.jobcore import load_result
 from repro.experiments.runner import _METRIC_FIELDS, VARIANTS, ExperimentRunner
-from repro.experiments.supervisor import SweepSupervisor
 from repro.snapshot import Checkpointer, load_checkpoint
+from repro.sweepd.fleet import JOBS_DIRNAME, load_sweep, run_sweep
+from repro.sweepd.jobs import DONE, job_id_for
+from repro.sweepd.manifest import MANIFEST_NAME, JobManifest
 from repro.workloads import workload_by_name
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -242,7 +245,7 @@ def test_sigkill_mid_run_resume_digest_identical(tmp_path):
     assert payload_digest(metrics_payload(metrics)) == document["digest"]
 
 
-# -- supervised sweeps --------------------------------------------------------
+# -- sweeps: watchdog and resume ---------------------------------------------
 
 
 def _runner(tmp_path, **kwargs):
@@ -255,25 +258,36 @@ def _runner(tmp_path, **kwargs):
     return ExperimentRunner(**kwargs)
 
 
+def _manifest(root):
+    manifest = JobManifest(root)
+    assert manifest.load(), "the sweep left no manifest"
+    return manifest
+
+
 def test_watchdog_recovers_stalled_worker(tmp_path):
-    """A worker wedged mid-run (no heartbeat) is killed and its relaunch
-    resumes from the checkpoint — and the result is unaffected."""
+    """A job wedged mid-run (no heartbeat) is killed by its worker and its
+    relaunch resumes from the checkpoint — and the result is unaffected."""
     request = ("pageseer", "lbmx4", "default")
     faults = FaultConfig(
         enabled=True, worker_stall_rate=1.0, worker_stall_seconds=60.0
     )
     runner = _runner(tmp_path, faults=faults)
-    supervisor = SweepSupervisor(
-        runner, tmp_path / "sweep",
-        checkpoint_every=300, heartbeat_seconds=0.1,
-        stall_timeout=2.0, poll_seconds=0.05,
-    )
+    root = tmp_path / "sweep"
     start = time.monotonic()
-    results = supervisor.run([request], jobs=1)
+    results, _ = run_sweep(
+        runner, [request], root, jobs=2,
+        checkpoint_every=300, heartbeat_seconds=0.1, lease_seconds=2.0,
+    )
     elapsed = time.monotonic() - start
 
-    assert supervisor.kills >= 1, "watchdog never fired"
-    assert supervisor.resumes.get(request, 0) >= 1, "retry did not resume"
+    job_id = job_id_for(request, runner._sizing(), faults)
+    record = _manifest(root).jobs[job_id]
+    assert any("hung" in error and "killed" in error for error in record.errors), (
+        f"watchdog never fired: {record.errors}"
+    )
+    payload = load_result(root / JOBS_DIRNAME / job_id)
+    assert payload is not None and payload["attempt"] >= 1
+    assert payload["resumed_at_ops"] > 0, "retry did not resume"
     assert elapsed < 40.0, "watchdog waited out the stall instead of killing"
 
     # Stalls affect liveness only: metrics equal a plain unsupervised run.
@@ -283,27 +297,32 @@ def test_watchdog_recovers_stalled_worker(tmp_path):
     assert _metric_dict(results[request]) == _metric_dict(reference)
 
 
-def test_sweep_resume_skips_completed_requests(tmp_path):
+def test_sweep_resume_skips_completed_requests(tmp_path, monkeypatch):
     requests = [("pageseer", "lbmx4", "default"), ("mempod", "streamx4", "default")]
     root = tmp_path / "sweep"
-    first = SweepSupervisor(
-        _runner(tmp_path), root, heartbeat_seconds=0.1, poll_seconds=0.05
-    ).run(requests, jobs=2)
+    first, _ = run_sweep(
+        _runner(tmp_path), requests, root, jobs=2, heartbeat_seconds=0.1,
+    )
     assert set(first) == set(requests)
 
-    manifest = json.loads((root / "manifest.json").read_text())
-    assert manifest["manifest_version"] == 1
-    assert sorted(manifest["completed"]) == sorted(
-        "/".join(request) for request in requests
-    )
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    assert manifest["sweepd_manifest_version"] == 1
+    assert sorted(
+        "/".join((job["scheme"], job["workload"], job["variant"]))
+        for job in manifest["jobs"] if job["state"] == DONE
+    ) == sorted("/".join(request) for request in requests)
 
-    # A fresh supervisor (fresh runner, same cache + manifest) resumes the
-    # sweep without relaunching any worker for the completed requests.
-    resumer = SweepSupervisor(
-        _runner(tmp_path), root, heartbeat_seconds=0.1, poll_seconds=0.05
-    )
-    second = resumer.resume(jobs=2)
-    assert resumer.attempts == {}, "completed requests were re-run"
+    # A fresh runner at other sizing, same cache + manifest: the resume
+    # recovers the sweep from the manifest and re-runs nothing.
+    import repro.sweepd.fleet as fleet
+
+    def no_jobs(*args, **kwargs):
+        raise AssertionError("completed requests were re-run")
+
+    monkeypatch.setattr(fleet, "_run_in_process", no_jobs)
+    monkeypatch.setattr(fleet, "_run_fleet", no_jobs)
+    resumer = _runner(tmp_path, seed=99, measure_ops=1)
+    second, _ = run_sweep(resumer, load_sweep(resumer, root), root, jobs=2)
     assert {
         request: _metric_dict(metrics) for request, metrics in second.items()
     } == {

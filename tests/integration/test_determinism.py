@@ -2,8 +2,8 @@
 
 Goldens pin exact metric values, so the simulator must be reproducible:
 the same seed must give byte-identical results run to run, the sanitizer
-must not perturb the simulation it observes, and the parallel sweep path
-must agree with the serial one.
+must not perturb the simulation it observes, and a parallel sweep must
+agree with an in-process one.
 """
 
 import dataclasses
@@ -44,10 +44,10 @@ class TestSeedDeterminism:
 
 class TestSweepDeterminism:
     def test_serial_and_parallel_sweeps_agree(self, tmp_path):
-        """run_many(jobs=1) and run_many(jobs=2) must produce identical
-        metrics from separate caches (the pool path also runs the
-        sanitizer at level full, so this doubles as an end-to-end
-        metrics-neutrality proof)."""
+        """run_many(jobs=1) (in-process) and run_many(jobs=2) (the worker
+        fleet) must produce identical metrics from separate caches.  The
+        fleet checks at level full and the in-process sweep not at all,
+        so this doubles as an end-to-end metrics-neutrality proof."""
         requests = [
             ("pageseer", "lbmx4", "default"),
             ("pom", "lbmx4", "default"),

@@ -6,8 +6,8 @@ The acceptance bar for the fault-injection subsystem (docs/FAULTS.md):
   "full" and zero violations;
 * re-running the identical configuration reproduces every metric and
   every fault counter bit-for-bit;
-* the sweep runner survives injected worker crashes and timeouts,
-  returning a result for every request via retry and salvage.
+* the sweep executor survives injected worker crashes and hung jobs,
+  returning a result for every request via retry and resume.
 """
 
 import dataclasses
@@ -126,20 +126,28 @@ class TestSweepResilience:
                             jobs=1)
         assert "failed on first attempt, not retried" in str(info.value)
 
-    def test_timeout_with_salvage_returns_every_result(self, tmp_path):
-        # Every attempt stalls past the request timeout, so the parent
-        # times each one out — but stalled workers are sleeping, not dead:
-        # the first finishes after its stall and its result is salvaged.
+    def test_stalled_job_is_killed_and_every_result_returns(self, tmp_path):
+        # Every first attempt wedges mid-run for far longer than the
+        # lease, so each worker must kill its stalled job process; the
+        # relaunches resume and every request still gets its result.
+        from repro.sweepd.fleet import run_sweep
+        from repro.sweepd.manifest import JobManifest
+
         faults = FaultConfig(
-            enabled=True, worker_stall_rate=1.0, worker_stall_seconds=3.0,
+            enabled=True, worker_stall_rate=1.0, worker_stall_seconds=60.0,
             fault_seed=5,
         )
-        runner = self.make_runner(
-            tmp_path, faults=faults, request_timeout=0.5, max_attempts=2,
+        runner = self.make_runner(tmp_path, faults=faults, max_attempts=2)
+        requests = [("noswap", "lbmx4", "default"), ("pom", "lbmx4", "default")]
+        results, _ = run_sweep(
+            runner, requests, tmp_path / "sweep", jobs=2,
+            checkpoint_every=200, heartbeat_seconds=0.1, lease_seconds=2.0,
         )
-        requests = [("noswap", "lbmx4", "default")]
-        results = runner.run_many(requests, jobs=2)
         assert set(results) == set(requests)
+        manifest = JobManifest(tmp_path / "sweep")
+        assert manifest.load()
+        for record in manifest.jobs.values():
+            assert any("killed" in error for error in record.errors), record.errors
 
     def test_sweep_with_crash_and_timeout_completes(self, tmp_path):
         """The acceptance scenario: one crashy sweep, generous retries."""
@@ -147,9 +155,7 @@ class TestSweepResilience:
             enabled=True, worker_crash_rate=0.5, worker_stall_rate=0.2,
             worker_stall_seconds=0.1, fault_seed=11,
         )
-        runner = self.make_runner(
-            tmp_path, faults=faults, request_timeout=60.0, max_attempts=20,
-        )
+        runner = self.make_runner(tmp_path, faults=faults, max_attempts=20)
         requests = [
             ("noswap", "lbmx4", "default"),
             ("noswap", "streamx4", "default"),

@@ -7,8 +7,8 @@ writes, bit-rot, and the combined storm):
   finishes with metrics identical to a clean run;
 * a resumed job whose ``latest.ckpt`` silently rotted falls back to a
   preserved generation and still lands the clean-run metrics;
-* a supervised sweep under an inherited environment storm loses no
-  acknowledged result;
+* a sweep on the worker fleet under an inherited environment storm
+  loses no acknowledged result;
 * ``repro fsck --repair`` leaves every faulted directory clean — and a
   rescan agrees.
 """
@@ -19,7 +19,6 @@ from repro import persist
 from repro.check.golden import GOLDEN_SIZING
 from repro.experiments.jobcore import execute_job
 from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
-from repro.experiments.supervisor import SweepSupervisor
 from repro.faults.storage import (
     STORAGE_FAULTS_ENV,
     StorageFaultInjector,
@@ -128,7 +127,7 @@ class TestGenerationFallbackResume:
         assert _metrics(payload) == _metrics(clean_payload)
 
 
-class TestSupervisedSweepUnderStorm:
+class TestSweepUnderStorm:
     REQUESTS = [
         ("pageseer", "lbmx4", "default"),
         ("pom", "lbmx4", "default"),
@@ -156,12 +155,12 @@ class TestSupervisedSweepUnderStorm:
         persist.reset_storage_faults()
         root = tmp_path / "sweep"
         try:
-            supervisor = SweepSupervisor(
-                self._runner(tmp_path / "cache"), root,
-                checkpoint_every=200, heartbeat_seconds=0.1,
-                poll_seconds=0.05,
+            from repro.sweepd.fleet import run_sweep
+
+            results, _ = run_sweep(
+                self._runner(tmp_path / "cache"), list(self.REQUESTS), root,
+                jobs=2, checkpoint_every=200, heartbeat_seconds=0.1,
             )
-            results = supervisor.run(list(self.REQUESTS), jobs=2)
         finally:
             monkeypatch.delenv(STORAGE_FAULTS_ENV, raising=False)
             persist.install_storage_faults(None)

@@ -20,7 +20,7 @@ from repro.check.golden import GOLDEN_SIZING
 from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
 from repro.faults.chaos import ChaosConfig, FleetChaos
 from repro.sweepd.aggregator import AGGREGATOR_LOG
-from repro.sweepd.fleet import run_distributed_sweep
+from repro.sweepd.fleet import _run_fleet
 
 REQUESTS = [
     ("pageseer", "lbmx4", "default"),
@@ -67,7 +67,7 @@ def serial_reference(tmp_path_factory):
 
 def _chaotic_sweep(tmp_path, *, chaos=None, fleet_chaos=None, workers=2):
     root = tmp_path / "svc"
-    results, report = run_distributed_sweep(
+    results, report = _run_fleet(
         _runner(tmp_path / "cache"), list(REQUESTS), root,
         workers=workers,
         chaos=chaos,
@@ -163,9 +163,11 @@ def test_poison_job_is_quarantined_not_retried_forever(tmp_path):
     runner = _runner(tmp_path / "cache")
     runner.faults = FaultConfig(enabled=True, worker_crash_rate=1.0)
     with pytest.raises(SweepError) as excinfo:
-        run_distributed_sweep(
+        _run_fleet(
             runner, [REQUESTS[0]], tmp_path / "svc",
             workers=1,
+            chaos=None,
+            fleet_chaos=None,
             lease_seconds=2.0,
             checkpoint_every=200,
             heartbeat_seconds=0.05,

@@ -14,7 +14,7 @@ import pytest
 
 from repro.check.golden import GOLDEN_SIZING
 from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
-from repro.sweepd.fleet import run_distributed_sweep
+from repro.sweepd.fleet import _run_fleet
 from repro.sweepd.jobs import build_job
 from repro.sweepd.protocol import RpcClient
 from repro.sweepd.server import SweepdServer
@@ -49,9 +49,9 @@ def test_distributed_sweep_matches_serial_bit_for_bit(tmp_path):
     serial = {request: serial_runner.run(*request) for request in REQUESTS}
 
     dist_runner = _runner(tmp_path / "dist")
-    results, report = run_distributed_sweep(
+    results, report = _run_fleet(
         dist_runner, list(REQUESTS), tmp_path / "dist" / "svc",
-        workers=2, lease_seconds=5.0,
+        workers=2, chaos=None, fleet_chaos=None, lease_seconds=5.0,
         checkpoint_every=300, heartbeat_seconds=0.1, timeout=120.0,
     )
     assert report.jobs_total == len(REQUESTS)
@@ -61,15 +61,15 @@ def test_distributed_sweep_matches_serial_bit_for_bit(tmp_path):
 
 def test_resubmitted_sweep_is_served_entirely_from_cache(tmp_path):
     runner = _runner(tmp_path)
-    run_distributed_sweep(
+    _run_fleet(
         runner, list(REQUESTS), tmp_path / "svc1",
-        workers=2, lease_seconds=5.0,
+        workers=2, chaos=None, fleet_chaos=None, lease_seconds=5.0,
         checkpoint_every=300, heartbeat_seconds=0.1, timeout=120.0,
     )
     # Fresh service root, same cache: every job is done on admission.
-    results, report = run_distributed_sweep(
+    results, report = _run_fleet(
         runner, list(REQUESTS), tmp_path / "svc2",
-        workers=1, lease_seconds=5.0,
+        workers=1, chaos=None, fleet_chaos=None, lease_seconds=5.0,
         checkpoint_every=300, heartbeat_seconds=0.1, timeout=60.0,
     )
     assert report.jobs_already_done == len(REQUESTS)

@@ -20,8 +20,8 @@ from repro.fsck import (
     QUARANTINE_DIRNAME,
     _classify,
     _probe_journal,
-    _quarantine,
     command_fsck,
+    quarantine,
     run_fsck,
     scan_directory,
     summarize,
@@ -241,10 +241,10 @@ class TestRepair:
     def test_quarantine_never_overwrites(self, tmp_path):
         first = tmp_path / "x.json"
         first.write_bytes(b"one")
-        moved_first = _quarantine(first)
+        moved_first = quarantine(first)
         second = tmp_path / "x.json"
         second.write_bytes(b"two")
-        moved_second = _quarantine(second)
+        moved_second = quarantine(second)
         assert moved_first.name == "x.json"
         assert moved_second.name == "x.json.1"
         assert moved_first.read_bytes() == b"one"

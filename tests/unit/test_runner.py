@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.experiments.jobcore import execute_job
 from repro.experiments.runner import (
     CACHE_VERSION,
     ExperimentRunner,
     VARIANTS,
-    _run_one_for_pool,
 )
 
 
@@ -68,32 +68,82 @@ class TestRunMany:
         results = runner.run_many([("noswap", "lbmx4", "default")], jobs=1)
         assert ("noswap", "lbmx4", "default") in results
 
-    def test_pool_worker_standalone(self):
-        metrics = _run_one_for_pool(
-            ("noswap", "lbmx4", "default"), (1024, 200, 200, 0, "off")
-        )
-        assert metrics.scheme == "noswap"
-        assert metrics.instructions > 0
+    def test_serial_path_is_unchecked_and_writes_no_checkpoints(
+        self, tmp_path, monkeypatch
+    ):
+        """run_many(jobs=1) costs what run() costs: its scratch root is
+        gone on return, so nothing could resume from a checkpoint, and
+        like run() it leaves the sanitizer off."""
+        import repro.sim.system as system_module
+        from repro.snapshot.hooks import Checkpointer
 
-    def test_pool_worker_applies_variant(self):
-        metrics = _run_one_for_pool(
-            ("pageseer", "lbmx4", "nohints"), (1024, 400, 1500, 0, "off")
-        )
-        assert metrics.swaps_mmu == 0
+        checks = []
+        build_system = system_module.build_system
 
-    def test_pool_worker_runs_sanitizer(self):
-        """The worker path checks at level full by default, and checking
-        must not change the metrics it returns."""
-        plain = _run_one_for_pool(
-            ("pageseer", "lbmx4", "default"), (1024, 300, 300, 0, "off")
+        def spy(*args, **kwargs):
+            checks.append(kwargs.get("check"))
+            return build_system(*args, **kwargs)
+
+        def no_write(checkpointer, system, path):
+            raise AssertionError(f"checkpoint written to {path}")
+
+        monkeypatch.setattr(system_module, "build_system", spy)
+        monkeypatch.setattr(Checkpointer, "_write", no_write)
+        runner = make_runner(tmp_path, worker_check_level="full")
+        results = runner.run_many([("pageseer", "lbmx4", "default")], jobs=1)
+        assert checks == [None]
+        assert results[("pageseer", "lbmx4", "default")].ipc == make_runner(
+            tmp_path / "direct"
+        ).run("pageseer", "lbmx4").ipc
+
+    @staticmethod
+    def run_job(request, sizing, directory):
+        """One sweep job, as a worker's job process runs it."""
+        return execute_job(
+            request, sizing, None, 0, directory,
+            checkpoint_every=0, heartbeat_seconds=0.0,
         )
-        checked = _run_one_for_pool(
-            ("pageseer", "lbmx4", "default"), (1024, 300, 300, 0, "full")
+
+    def test_job_standalone(self, tmp_path):
+        payload = self.run_job(
+            ("noswap", "lbmx4", "default"), (1024, 200, 200, 0, "off"), tmp_path
         )
+        assert payload["scheme"] == "noswap"
+        assert payload["instructions"] > 0
+
+    def test_job_applies_variant(self, tmp_path):
+        payload = self.run_job(
+            ("pageseer", "lbmx4", "nohints"), (1024, 400, 1500, 0, "off"), tmp_path
+        )
+        assert payload["swaps_mmu"] == 0
+
+    def test_job_runs_sanitizer(self, tmp_path, monkeypatch):
+        """Sweep jobs check at level full by default, and checking must
+        not change the metrics they return."""
+        from repro.check.manager import CheckManager
+
+        plain = self.run_job(
+            ("pageseer", "lbmx4", "default"), (1024, 300, 300, 0, "off"),
+            tmp_path / "plain",
+        )
+        attached = []
+        attach = CheckManager.attach
+
+        def spy(manager, system):
+            attached.append(manager.config.level)
+            return attach(manager, system)
+
+        monkeypatch.setattr(CheckManager, "attach", spy)
+        checked = self.run_job(
+            ("pageseer", "lbmx4", "default"), (1024, 300, 300, 0, "full"),
+            tmp_path / "checked",
+        )
+        assert attached == ["full"], "the sanitizer never attached"
+        assert ExperimentRunner().worker_check_level == "full"
         from repro.experiments.runner import _METRIC_FIELDS
 
         for name in _METRIC_FIELDS:
-            assert getattr(plain, name) == getattr(checked, name)
+            assert plain[name] == checked[name]
 
 
 class TestSweepFailures:
