@@ -28,7 +28,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.common.config import CHECK_LEVELS, ENGINES, CheckConfig, FaultConfig
+from repro.common.config import CHECK_LEVELS, CheckConfig, FaultConfig
 from repro.common.errors import (
     CheckpointError,
     CheckpointInterrupt,
@@ -208,7 +208,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 config_mutator=VARIANTS[args.variant],
                 check=_resolve_check(args),
                 faults=_resolve_faults(args),
-                engine=args.engine,
             )
             checkpoint_dir = Path(
                 args.checkpoint_dir
@@ -629,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--workload", default=None)
     run_parser.add_argument("--variant", default="default",
                             choices=sorted(VARIANTS))
-    run_parser.add_argument("--engine", default=None, choices=list(ENGINES),
-                            help="simulation-loop engine (default: config "
-                                 "default, 'batched'); both engines are "
-                                 "bit-identical — 'scalar' is the reference "
-                                 "fallback")
     _add_sizing_arguments(run_parser)
     _add_check_arguments(run_parser)
     _add_fault_arguments(run_parser)
@@ -672,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="continue the sweep recorded in "
                                    "--checkpoint-root's manifest")
     sweep_parser.add_argument("--quiet", action="store_true")
-    sweep_parser.add_argument("--distributed", action="store_true",
-                              help="accepted for compatibility: every sweep "
-                                   "with --jobs above 1 runs on the sweepd "
-                                   "fleet (docs/SWEEP_SERVICE.md)")
     _add_chaos_arguments(sweep_parser)
     _add_sizing_arguments(sweep_parser)
     _add_fault_arguments(sweep_parser)

@@ -17,8 +17,6 @@ unchanged.  See DESIGN.md Section 5.
 
 from __future__ import annotations
 
-import os
-
 from dataclasses import dataclass, field, replace
 
 from repro.common.addr import Bytes
@@ -377,18 +375,6 @@ class MemPodConfig:
         )
 
 
-#: Execution engines for the simulation loop.  ``scalar`` is the one-op-
-#: at-a-time reference scheduler; ``batched`` drains independent ops in
-#: bulk between swap/translation/fault/checkpoint events and must stay
-#: bit-identical to ``scalar`` (tests/integration/test_engine_equivalence).
-ENGINES = ("scalar", "batched")
-
-#: Workload stream modes.  ``chunked`` runs the block-native emitters
-#: (struct-of-arrays chunks, the batched engine's fast path); ``perop``
-#: batches the historical per-op generators into the same chunk shape.
-#: The two emit identical op sequences (tests/property/test_chunk_streams).
-STREAM_MODES = ("chunked", "perop")
-
 #: Valid sanitizer levels, in increasing strictness/cost.
 CHECK_LEVELS = ("off", "invariants", "full")
 
@@ -525,13 +511,6 @@ class SystemConfig:
     mempod: MemPodConfig = field(default_factory=MemPodConfig)
     #: When False, channel/bank contention is ignored (Section V-A mode).
     model_contention: bool = True
-    #: Simulation-loop engine: ``batched`` (default) or ``scalar``.  The
-    #: two are bit-identical by contract; ``scalar`` remains as the
-    #: reference implementation and differential-testing oracle.
-    engine: str = "batched"
-    #: Workload stream mode: ``chunked`` (default) or ``perop``; see
-    #: :data:`STREAM_MODES`.  Sequence-identical by contract.
-    stream: str = "chunked"
     seed: int = 0
     #: Runtime sanitizer configuration (``repro.check``).
     check: CheckConfig = field(default_factory=CheckConfig)
@@ -541,14 +520,6 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ConfigError("need at least one core")
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; pick from {ENGINES}"
-            )
-        if self.stream not in STREAM_MODES:
-            raise ConfigError(
-                f"unknown stream mode {self.stream!r}; pick from {STREAM_MODES}"
-            )
 
     def with_cores(self, cores: int) -> "SystemConfig":
         """Return a copy running *cores* cores (Table III varies this)."""
@@ -603,23 +574,8 @@ class SystemConfig:
 def default_system_config(
     scale: int = 64, cores: int = 4, seed: int = 0, model_contention: bool = True
 ) -> SystemConfig:
-    """Return the Table I system, optionally scaled down by *scale*.
-
-    The ``REPRO_ENGINE`` environment variable overrides the simulation
-    engine default (``batched``) and ``REPRO_STREAM`` the stream-mode
-    default (``chunked``) — the hooks CI's engine×stream matrix uses to
-    run the whole test suite under every combination without touching
-    every ``build_system`` call site.  Invalid values fail SystemConfig
-    validation immediately.
-    """
-    engine = os.environ.get("REPRO_ENGINE", "").strip()
-    kwargs = {"engine": engine} if engine else {}
-    stream = os.environ.get("REPRO_STREAM", "").strip()
-    if stream:
-        kwargs["stream"] = stream
-    config = SystemConfig(
-        cores=cores, seed=seed, model_contention=model_contention, **kwargs
-    )
+    """Return the Table I system, optionally scaled down by *scale*."""
+    config = SystemConfig(cores=cores, seed=seed, model_contention=model_contention)
     if scale != 1:
         config = config.scaled(scale)
     return replace(config, seed=seed, model_contention=model_contention)

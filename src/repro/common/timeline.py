@@ -1,240 +1,16 @@
-"""Resource-reservation timelines.
+"""The cycle unit alias.
 
-The simulator avoids per-cycle ticking.  A shared hardware resource (a DRAM
-bank, a channel data bus, the PRTc port, the swap engine) is modelled as a
-*timeline*: a monotonically advancing "busy until" timestamp.  A request
-that wants the resource at time ``t`` for ``duration`` cycles is granted the
-interval ``[start, start + duration)`` where ``start = max(t, busy_until)``,
-and the timeline advances.  Queueing delay is therefore ``start - t``.
-
-This reproduces first-order contention (bandwidth saturation, queueing under
-bursts) at a tiny fraction of the cost of cycle-accurate simulation; see
-DESIGN.md Section 5.
+The simulator avoids per-cycle ticking: a shared hardware resource (a DRAM
+bank, a channel data bus) is a "busy until" timestamp, and a request for
+it at ``t`` is granted ``[max(t, busy_until), ... + duration)``.  That
+reservation model lives with the resources it times, in
+:class:`repro.mem.device.MemoryDevice`; see DESIGN.md Section 5.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
-
-try:  # numpy backs the struct-of-arrays mirror; scalar classes never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image bakes numpy in
-    _np = None
 
 #: Unit alias checked by the RL004 lint rule (see docs/LINTING.md).
 #: Marks CPU-cycle quantities (timestamps and durations at the 2 GHz core
 #: clock).  Plain ``int`` at run time; the alias keeps cycle arithmetic
 #: visibly separate from byte and address arithmetic.
 Cycles = int
-
-
-class Timeline:
-    """A single serially-reusable resource."""
-
-    __slots__ = ("busy_until", "total_busy")
-
-    def __init__(self) -> None:
-        self.busy_until = 0
-        self.total_busy = 0
-
-    def reserve(self, now: Cycles, duration: Cycles) -> Tuple[Cycles, Cycles]:
-        """Reserve the resource for *duration* cycles at or after *now*.
-
-        Returns ``(start, end)`` of the granted interval and advances the
-        timeline to ``end``.
-        """
-        start = now if now > self.busy_until else self.busy_until
-        end = start + duration
-        self.busy_until = end
-        self.total_busy += duration
-        return start, end
-
-    def next_free(self, now: Cycles) -> Cycles:
-        """Return the earliest time at or after *now* the resource is free."""
-        return now if now > self.busy_until else self.busy_until
-
-    def utilization(self, elapsed: Cycles) -> float:
-        """Return the fraction of *elapsed* cycles the resource was busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.total_busy / elapsed)
-
-
-class BankedTimeline:
-    """A set of identical resources indexed by an integer (e.g. banks)."""
-
-    __slots__ = ("_timelines",)
-
-    def __init__(self, count: int) -> None:
-        if count <= 0:
-            raise ValueError("BankedTimeline needs at least one bank")
-        self._timelines: List[Timeline] = [Timeline() for _ in range(count)]
-
-    def __len__(self) -> int:
-        return len(self._timelines)
-
-    def __getitem__(self, index: int) -> Timeline:
-        return self._timelines[index]
-
-    def reserve(self, index: int, now: Cycles, duration: Cycles) -> Tuple[Cycles, Cycles]:
-        """Reserve bank *index*; see :meth:`Timeline.reserve`."""
-        return self._timelines[index].reserve(now, duration)
-
-    # repro-hot
-    def least_loaded(self, now: Cycles) -> int:
-        """Return the index of the bank that frees up earliest.
-
-        Scans in index order but stops at the first bank already free at
-        *now*: no later bank can be free any earlier, and the full scan
-        returns the first index achieving the minimum — so the early exit
-        picks exactly the same bank.
-        """
-        timelines = self._timelines
-        best_time = timelines[0].next_free(now)
-        if best_time <= now:
-            return 0
-        best_index = 0
-        for index in range(1, len(timelines)):
-            free_at = timelines[index].next_free(now)
-            if free_at <= now:
-                return index
-            if free_at < best_time:
-                best_time = free_at
-                best_index = index
-        return best_index
-
-    def utilization(self, elapsed: Cycles) -> float:
-        """Return mean utilization across all banks."""
-        if not self._timelines:
-            return 0.0
-        return sum(t.utilization(elapsed) for t in self._timelines) / len(self._timelines)
-
-
-class SoaBankedTimeline:
-    """:class:`BankedTimeline` as numpy struct-of-arrays.
-
-    Two int64 vectors (``busy_until``, ``total_busy``) replace the list of
-    :class:`Timeline` records, so bulk reservations — the page/segment
-    transfer schedules the batched engine computes in closed form — touch
-    every bank with a handful of vector ops instead of a Python loop per
-    line.  The scalar methods (:meth:`reserve`, :meth:`least_loaded`,
-    :meth:`next_free`) keep the exact semantics of the scalar class; the
-    property suite ``tests/property/test_timeline_soa.py`` replays random
-    operation sequences against :class:`BankedTimeline` and requires
-    bit-identical grants, including ``least_loaded`` tie-breaking (first
-    index achieving the minimum wins) and modulo-wrapped bank indices.
-    """
-
-    __slots__ = ("busy_until", "total_busy")
-
-    def __init__(self, count: int) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "SoaBankedTimeline needs numpy; use BankedTimeline instead"
-            )
-        if count <= 0:
-            raise ValueError("SoaBankedTimeline needs at least one bank")
-        self.busy_until = _np.zeros(count, dtype=_np.int64)
-        self.total_busy = _np.zeros(count, dtype=_np.int64)
-
-    def __len__(self) -> int:
-        return int(self.busy_until.shape[0])
-
-    # -- scalar-compatible operations ----------------------------------------
-    def reserve(self, index: int, now: Cycles, duration: Cycles) -> Tuple[Cycles, Cycles]:
-        """Reserve bank *index*; bit-identical to the scalar class."""
-        busy = int(self.busy_until[index])
-        start = now if now > busy else busy
-        end = start + duration
-        self.busy_until[index] = end
-        self.total_busy[index] += duration
-        return start, end
-
-    def next_free(self, index: int, now: Cycles) -> Cycles:
-        busy = int(self.busy_until[index])
-        return now if now > busy else busy
-
-    def least_loaded(self, now: Cycles) -> int:
-        """First bank index achieving the earliest free time.
-
-        ``np.maximum`` clamps already-free banks to *now*, making them all
-        equal to the minimum; ``argmin`` returns the *first* occurrence,
-        which is exactly the scalar class's tie-break (its early exit at
-        the first free bank returns the same index the full scan would).
-        """
-        return int(_np.argmin(_np.maximum(self.busy_until, now)))
-
-    def utilization(self, elapsed: Cycles) -> float:
-        if elapsed <= 0:
-            return 0.0
-        shares = _np.minimum(1.0, self.total_busy / float(elapsed))
-        return float(shares.mean())
-
-    # -- vectorized kernels ----------------------------------------------------
-    def reserve_all(self, now: Cycles, duration: Cycles) -> "_np.ndarray":
-        """Reserve every bank once at *now*; returns the end-time vector.
-
-        Equivalent to ``[reserve(i, now, duration)[1] for i in range(n)]``
-        but as three vector ops — the shape of a page transfer that
-        touches each bank of a channel with one burst.
-        """
-        starts = _np.maximum(self.busy_until, now)
-        ends = starts + duration
-        self.busy_until = ends
-        self.total_busy += duration
-        return ends
-
-    def reserve_sequence(
-        self, indices: "_np.ndarray", now: Cycles, duration: Cycles
-    ) -> "_np.ndarray":
-        """Reserve *indices* in order; returns per-reservation end times.
-
-        Repeated indices chain (a bank reserved twice queues behind its
-        own earlier grant), so the result is bit-identical to the scalar
-        loop.  Within the run of consecutive hits on one bank the grant
-        times advance by exactly *duration*, which is what lets the
-        closed-form transfer planner emit one vector expression per bank
-        group instead of iterating lines.
-        """
-        indices = _np.asarray(indices, dtype=_np.int64)
-        n = int(indices.shape[0])
-        if n == 0:
-            return _np.zeros(0, dtype=_np.int64)
-        # Occurrence rank of each reservation within its bank (0 for the
-        # first hit on a bank, 1 for the second, ...), computed without a
-        # per-element loop: stable-sort groups equal banks together, the
-        # rank is the offset into the group, then scatter back.
-        perm = _np.argsort(indices, kind="stable")
-        grouped = indices[perm]
-        run_starts = _np.flatnonzero(
-            _np.diff(grouped, prepend=grouped[0] - 1)
-        )
-        run_lengths = _np.diff(_np.append(run_starts, n))
-        rank_sorted = _np.arange(n) - _np.repeat(run_starts, run_lengths)
-        rank = _np.empty(n, dtype=_np.int64)
-        rank[perm] = rank_sorted
-        starts = _np.maximum(self.busy_until[indices], now) + rank * duration
-        ends = starts + duration
-        _np.maximum.at(self.busy_until, indices, ends)
-        self.total_busy += _np.bincount(indices, minlength=len(self)) * duration
-        return ends
-
-    # -- interop ---------------------------------------------------------------
-    @classmethod
-    def from_banked(cls, banked: BankedTimeline) -> "SoaBankedTimeline":
-        """Copy the state of a scalar :class:`BankedTimeline`."""
-        soa = cls(len(banked))
-        for index in range(len(banked)):
-            timeline = banked[index]
-            soa.busy_until[index] = timeline.busy_until
-            soa.total_busy[index] = timeline.total_busy
-        return soa
-
-    def to_banked(self) -> BankedTimeline:
-        """Materialise the equivalent scalar :class:`BankedTimeline`."""
-        banked = BankedTimeline(len(self))
-        for index in range(len(self)):
-            timeline = banked[index]
-            timeline.busy_until = int(self.busy_until[index])
-            timeline.total_busy = int(self.total_busy[index])
-        return banked

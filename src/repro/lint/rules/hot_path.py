@@ -1,7 +1,7 @@
 """RL005 — hot-path hygiene: keep the per-op path allocation-light.
 
 The simulator's throughput lives and dies in a handful of per-operation
-functions (``Core.step``, ``CacheHierarchy.access``, ``MemoryDevice.access``,
+functions (``Core.execute``, ``CacheHierarchy.access``, ``MemoryDevice.access``,
 ...).  Those functions are annotated with a ``# repro-hot`` comment on the
 line directly above their ``def`` (see docs/PERFORMANCE.md), and this rule
 holds them to the discipline the PR-4 optimization pass established:
@@ -21,7 +21,7 @@ holds them to the discipline the PR-4 optimization pass established:
   ``enumerate(...)``, or ``.tolist()``) pays interpreter dispatch plus a
   boxed-int allocation per element, exactly the cost the struct-of-arrays
   representation exists to avoid.  Batch kernels stay in C via vectorized
-  array ops (see ``SoaBankedTimeline.reserve_sequence``); genuinely
+  array ops (see ``DenseVpnCache.lookup_many``); genuinely
   element-wise logic belongs in the scalar fallback at batch boundaries.
   The rule tracks names assigned from numpy constructor calls inside the
   hot function and attributes assigned from numpy calls anywhere in the
@@ -277,8 +277,8 @@ class HotPathRule(Rule):
                     f"inside hot function {function.name}(): interpreter "
                     "dispatch plus int boxing per element defeats the "
                     "struct-of-arrays layout; use a vectorized kernel "
-                    "(argsort/bincount/maximum.at, see "
-                    "SoaBankedTimeline.reserve_sequence) or move the "
+                    "(masks/fancy indexing/maximum.at, see "
+                    "DenseVpnCache.lookup_many) or move the "
                     "element-wise logic to the scalar fallback",
                 )
 

@@ -1,10 +1,12 @@
-"""The batched execution engine (``SystemConfig.engine = "batched"``).
+"""The execution engine: drives every simulation (``System.run_ops``).
 
-The scalar scheduler in :meth:`repro.sim.system.System._run_to_targets`
-pays the full Python dispatch chain — op fetch, ``ensure_mapped``, MMU
-translate, hierarchy access, per-op result objects — for *every*
-operation, even though most of them are pure L1-TLB + L1/L2-cache hits
-that mutate nothing outside one core.  This engine consumes the stream
+The reference semantics are one op at a time in global
+``(clock, core_id)`` order, each paying the full Python dispatch chain —
+op fetch, ``ensure_mapped``, MMU translate, hierarchy access, per-op
+result objects (:meth:`repro.sim.cpu.Core.execute`) — even though most
+ops are pure L1-TLB + L1/L2-cache hits that mutate nothing outside one
+core.  That scalar scheduler survives only as a test oracle
+(``tests/oracles/scalar_engine.py``).  This engine consumes the stream
 chunk-wise: a vectorized prep kernel lifts each
 :class:`repro.workloads.chunks.OpChunk` into flat per-op columns (VPN,
 line number, set indices, tags, clock advance) in a handful of numpy
@@ -17,8 +19,8 @@ scalar path's mutations inline from the prepped columns, and only
 *translation* events (TLB-miss walks, first-touch pages) escape to the
 unmodified scalar path (:meth:`repro.sim.cpu.Core.execute`).
 
-Equivalence contract (enforced by the pinned goldens and by
-tests/integration/test_engine_equivalence.py):
+Equivalence contract with the scalar oracle (enforced by the pinned
+goldens and by tests/integration/test_engine_equivalence.py):
 
 1. **Op classification.**  An op is *pure* when it hits the L1 TLB and
    then either hits the L1 cache, or hits the L2 cache with a clean (or
@@ -81,13 +83,11 @@ speedups and docs/TESTING.md for the differential-harness workflow.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.addr import LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 from repro.sim.cpu import _STORE_STALL_FRACTION
 from repro.sim.hmc_base import RequestKind
-from repro.snapshot.stream import ReplayStream
-from repro.workloads.chunks import OpChunk, chunks_from_ops
 
 try:  # numpy backs the chunk prep kernel; a scalar fallback covers its absence
     import numpy as _np
@@ -100,43 +100,9 @@ _WRITEBACK = RequestKind.WRITEBACK
 _PAGE_MASK = PAGE_BYTES - 1
 
 #: Steps between checkpointer polls when no cut point or periodic write
-#: is due sooner.  Poll steps are multiples of this value so the scalar
-#: engine's ``steps & 0xFF == 0`` heartbeat condition still fires.
+#: is due sooner.  Poll steps are multiples of this value so the
+#: checkpointer's ``steps & 0xFF == 0`` heartbeat condition still fires.
 _POLL_STEPS = 256
-
-
-class _BareStream:
-    """Chunk-protocol adapter over a bare op iterable (unit-test rigs).
-
-    Mirrors :class:`ReplayStream`'s ``peek_chunk``/``advance`` surface
-    with no consumption counter to maintain (bare iterators are not
-    checkpointable).
-    """
-
-    __slots__ = ("_chunks", "_chunk", "_pos")
-
-    def __init__(self, ops):
-        self._chunks = chunks_from_ops(iter(ops))
-        self._chunk: Optional[OpChunk] = None
-        self._pos = 0
-
-    def peek_chunk(self) -> Optional[Tuple[OpChunk, int]]:
-        chunk = self._chunk
-        if chunk is None:
-            chunk = next(self._chunks, None)
-            if chunk is None:
-                return None
-            self._chunk = chunk
-            self._pos = 0
-        return chunk, self._pos
-
-    def advance(self, count: int) -> None:
-        pos = self._pos + count
-        if pos == self._chunk.length:
-            self._chunk = None
-            self._pos = 0
-        else:
-            self._pos = pos
 
 
 def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tuple:
@@ -228,9 +194,10 @@ def _core_context(core) -> Tuple:
     invariants ``Core.__init__`` hoists for the scalar path): the SoA
     TLB/cache internals the drain loop reads and writes directly, the
     shared L3's per-set ``OrderedDict`` list for the inline miss path,
-    and the chunk-protocol stream.  ``hmc.handle_request`` is
-    deliberately *not* here: the sanitizer rebinds it on the instance,
-    so the engine re-reads it around controller calls.
+    and the chunk-protocol stream (``peek_chunk``/``advance``).
+    ``hmc.handle_request`` is deliberately *not* here: the sanitizer
+    rebinds it on the instance, so the engine re-reads it around
+    controller calls.
     """
     l1_tlb = core.mmu.l1_tlb
     hierarchy = core.hierarchy
@@ -238,8 +205,6 @@ def _core_context(core) -> Tuple:
     l2 = hierarchy.l2[core.core_id]
     l3 = hierarchy.l3
     stream = core.ops
-    if not isinstance(stream, ReplayStream):
-        stream = _BareStream(stream)
     # The scalar L2-hit stall is outcome.latency_cycles / mlp where
     # latency_cycles == l1_latency + l2_latency: same ints, same single
     # float division, so the precomputed value is bit-identical.  The
@@ -759,12 +724,12 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
 
 # repro-hot
 def run_to_targets(system, targets: Sequence[int]) -> None:
-    """Batched equivalent of ``System._run_to_targets`` (see module doc).
+    """Advance *system*'s cores to their absolute op *targets* (module doc).
 
     The driver owns the park heap: one entry per live core, keyed by
     ``(clock, core_id)``, carrying that core's suspended
     :func:`_core_runner` coroutine.  Popping the minimum and resuming
-    it replays shared ops in exactly the scalar engine's global order;
+    it replays shared ops in exactly the scalar oracle's global order;
     a runner that yields again goes back in keyed by its new clock, and
     a runner that returns (target reached or stream exhausted) drops
     out.

@@ -10,7 +10,6 @@ measured window produces a :class:`repro.sim.metrics.RunMetrics`.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.baselines.cameo import CameoHmc
@@ -21,7 +20,7 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.hmc import PageSeerHmc
-from repro.sim import engine as batched_engine
+from repro.sim import engine
 from repro.sim.cpu import Core
 from repro.sim.hmc_base import HmcBase, NoSwapHmc, RequestKind
 from repro.sim.metrics import RunMetrics, collect_metrics
@@ -86,10 +85,6 @@ class System:
         self.workload = workload
         self.scale = scale
         self.stats = StatsRegistry()
-        #: Which simulation-loop engine drives :meth:`_run_to_targets`.
-        #: ``batched`` and ``scalar`` are bit-identical by contract (the
-        #: differential equivalence suite and the goldens enforce it).
-        self.engine = config.engine
         self.os_model = OsModel(config.memory)
         self.hmc: HmcBase = SCHEMES[scheme](config, self.os_model, self.stats)
         self.hierarchy = CacheHierarchy(config, self.stats)
@@ -128,10 +123,7 @@ class System:
                 mmu_hint=self.hmc.mmu_hint if use_hints else None,
             )
             mmu = Mmu(core_id, self.config, walker, self.stats)
-            stream = ReplayStream(
-                self.workload, core_id, self.config.seed, self.scale,
-                mode=self.config.stream,
-            )
+            stream = ReplayStream(self.workload, core_id, self.config.seed, self.scale)
             self.cores.append(
                 Core(
                     core_id,
@@ -160,52 +152,17 @@ class System:
         return self.hmc.handle_request(now, line_spa, is_write, pid, kind)
 
     # -- driving --------------------------------------------------------------
-    # repro-hot
     def _run_to_targets(self, targets: Sequence[int]) -> None:
         """Advance cores in time order until each hits its absolute target.
 
-        Scheduling is a heap keyed on ``(clock, core_id)``: the core with
-        the smallest local clock steps next, and equal clocks are broken
-        by core id — explicitly, so the interleaving is deterministic and
-        independent of how the ready set happens to be ordered in memory.
-
-        The heap is a pure function of (cores, targets): every live core
-        below its target is in it, keyed by unique ``(clock, core_id)``.
-        That is what makes mid-loop checkpoints bit-identical on resume —
-        the restored process rebuilds the heap from the restored cores and
-        pops in exactly the order this process would have.  The
-        checkpointer is therefore polled at the one safe point per step,
-        after the core stepped and was re-queued.
-
-        This scalar loop is the reference implementation; under
-        ``engine: batched`` the call dispatches to
-        :func:`repro.sim.engine.run_to_targets`, which executes the
-        identical op order with bulk fast paths (see that module's
-        equivalence contract).
+        Ops that reach shared state run in global ``(clock, core_id)``
+        order — the core with the smallest local clock goes next, and
+        equal clocks are broken by core id — so the interleaving is
+        deterministic, and a checkpoint taken mid-loop resumes to the
+        identical end state.  :func:`repro.sim.engine.run_to_targets`
+        holds the loop and its equivalence contract.
         """
-        if self.engine == "batched":
-            batched_engine.run_to_targets(self, targets)
-            return
-        heap = [
-            (core.clock, core.core_id, core)
-            for core in self.cores
-            if not core.done and core.ops_executed < targets[core.core_id]
-        ]
-        heapq.heapify(heap)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        ckpt = self.checkpointer
-        steps = self.steps_total
-        while heap:
-            _, core_id, core = heappop(heap)
-            core.step()
-            steps += 1
-            if not core.done and core.ops_executed < targets[core_id]:
-                heappush(heap, (core.clock, core_id, core))
-            if ckpt is not None:
-                self.steps_total = steps
-                ckpt.on_step(self)
-        self.steps_total = steps
+        engine.run_to_targets(self, targets)
 
     def run_ops(self, ops_per_core: int) -> None:
         """Advance every core by *ops_per_core* operations in time order.
@@ -295,7 +252,6 @@ def build_system(
     config_mutator: Optional[Callable[[SystemConfig], SystemConfig]] = None,
     check: Optional[CheckConfig] = None,
     faults: Optional[FaultConfig] = None,
-    engine: Optional[str] = None,
 ) -> System:
     """Build a ready-to-run system for one scheme and one workload.
 
@@ -303,8 +259,7 @@ def build_system(
     disable correlation, disable the bandwidth heuristic, ...).
     ``check`` overrides the sanitizer configuration after the mutator ran
     (convenience for the CLI's ``--check`` flags and for tests),
-    ``faults`` does the same for fault injection (``--faults``), and
-    ``engine`` picks the simulation-loop engine (``--engine``).
+    and ``faults`` does the same for fault injection (``--faults``).
     """
     import dataclasses
 
@@ -322,8 +277,6 @@ def build_system(
         config = dataclasses.replace(config, check=check)
     if faults is not None:
         config = dataclasses.replace(config, faults=faults)
-    if engine is not None:
-        config = dataclasses.replace(config, engine=engine)
 
     # Fail early with a clear message if the workload cannot fit: data
     # pages plus page tables plus controller metadata must fit the scaled

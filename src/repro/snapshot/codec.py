@@ -52,7 +52,7 @@ SAFE_MODULE_PREFIXES = (
     "functools",
     "pathlib",
     "dataclasses",
-    # numpy struct-of-arrays state (DenseVpnCache, SoaBankedTimeline)
+    # numpy struct-of-arrays state (DenseVpnCache)
     # pickles through numpy's own reconstructors.
     "numpy",
 )

@@ -113,8 +113,8 @@ class Checkpointer:
         The batched engine plans its drains around this: it runs at full
         speed up to the returned step, flushes core-local state, and
         polls :meth:`on_step` exactly there — so cut files and periodic
-        ``latest.ckpt`` refreshes land on the identical steps the scalar
-        engine's per-step polling produces.  (Signal polling has no
+        ``latest.ckpt`` refreshes land on the identical steps per-step
+        polling (the scalar test oracle) produces.  (Signal polling has no
         deterministic step; the engine bounds its latency with a fixed
         poll interval instead.)
         """

@@ -29,7 +29,7 @@ class DenseVpnCache:
     dict.  The dense vector is what gives the batched engine a vectorized
     translation kernel (:meth:`lookup_many`); the scalar :meth:`get` /
     ``[] =`` protocol is a drop-in for the dict the page table used
-    before.  ``tests/property/test_timeline_soa.py`` cross-checks both
+    before.  ``tests/property/test_dense_vpn_cache.py`` cross-checks both
     protocols against a plain-dict model.
     """
 

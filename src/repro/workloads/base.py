@@ -47,18 +47,9 @@ class BenchmarkPart:
         pages = footprint_pages_for(self.footprint_mb, scale)
         return generator(rng, pages, **self.params)
 
-    def make_blocks(
-        self, rng: DeterministicRng, scale: int
-    ) -> Optional[Iterator[Block]]:
-        """The block view of this part's stream, or None.
-
-        None means the generator is registered per-op only (an external
-        plugin): callers fall back to batching :meth:`make_stream` output,
-        which yields the identical op sequence at per-op generation cost.
-        """
-        generator = BLOCK_GENERATORS.get(self.generator)
-        if generator is None:
-            return None
+    def make_blocks(self, rng: DeterministicRng, scale: int) -> Iterator[Block]:
+        """The block view of this part's stream (what simulations consume)."""
+        generator = BLOCK_GENERATORS[self.generator]
         pages = footprint_pages_for(self.footprint_mb, scale)
         return generator(rng, pages, **self.params)
 
@@ -91,9 +82,7 @@ class WorkloadSpec:
         rng = DeterministicRng(f"{self.name}/core{core_id}/{part.benchmark}", seed)
         return part.make_stream(rng, scale)
 
-    def make_blocks(
-        self, core_id: int, seed: int, scale: int
-    ) -> Optional[Iterator[Block]]:
+    def make_blocks(self, core_id: int, seed: int, scale: int) -> Iterator[Block]:
         """Block view of :meth:`make_stream`: same RNG name, same seed,
         same draw order, so the two views emit the identical sequence."""
         part = self.part_for_core(core_id)

@@ -2,7 +2,7 @@
 
 Every archetype is written once, as a *block* generator yielding
 struct-of-arrays bursts (see :mod:`repro.workloads.chunks`); the
-per-op :class:`repro.sim.cpu.MemoryOp` iterator the scalar engine and
+per-op :class:`repro.sim.cpu.MemoryOp` iterator that trace recording and
 external consumers use is :func:`ops_from_blocks` over the same blocks,
 so both views emit the identical op sequence from the identical RNG draw
 order.  The runner bounds the number of operations — generators are
@@ -336,9 +336,8 @@ GENERATORS = {
     "blocked_sweep": blocked_sweep,
 }
 
-#: The block view of the same archetypes.  Generators registered only in
-#: ``GENERATORS`` (external plugins) still work: the chunked stream falls
-#: back to batching their per-op output (see ``ReplayStream``).
+#: The block view of the same archetypes: what ``ReplayStream`` consumes.
+#: Every ``GENERATORS`` name must have an entry here.
 BLOCK_GENERATORS: Dict[str, Callable[..., Iterator[Block]]] = {
     "stream_sweep": stream_sweep_blocks,
     "pointer_chase": pointer_chase_blocks,

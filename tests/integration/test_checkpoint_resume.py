@@ -40,6 +40,8 @@ from repro.sweepd.jobs import DONE, job_id_for
 from repro.sweepd.manifest import MANIFEST_NAME, JobManifest
 from repro.workloads import workload_by_name
 
+from tests.oracles.scalar_engine import scalar_engine
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
@@ -333,9 +335,30 @@ def test_sweep_resume_skips_completed_requests(tmp_path, monkeypatch):
 # -- the batched engine under the cut-point protocol ---------------------------
 
 
+def _golden_lbmx4():
+    from repro.sim.system import build_system
+
+    return build_system(
+        "pageseer",
+        workload_by_name("lbmx4"),
+        scale=GOLDEN_SIZING["scale"],
+        seed=GOLDEN_SIZING["seed"],
+    )
+
+
+def _scalar_reference_digest():
+    """The uninterrupted golden lbmx4 run on the scalar oracle."""
+    from repro.bench import stats_digest
+
+    reference = _golden_lbmx4()
+    with scalar_engine():
+        reference.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
+    return stats_digest(reference)
+
+
 def test_batched_mid_batch_cuts_resume_bit_identical(tmp_path):
-    """A checkpoint cut mid-batch under ``--engine batched`` must resume
-    bit-identical — against the *scalar* engine's uninterrupted run.
+    """A checkpoint cut mid-batch must resume bit-identical — against the
+    *scalar* oracle's uninterrupted run.
 
     The cut points (500/2000 scheduler steps) land inside the batched
     engine's free-running drain windows, so this pins the engine's
@@ -344,22 +367,10 @@ def test_batched_mid_batch_cuts_resume_bit_identical(tmp_path):
     and the resumed half reproduces the scalar reference exactly.
     """
     from repro.bench import stats_digest
-    from repro.sim.system import build_system
 
-    def fresh(engine):
-        return build_system(
-            "pageseer",
-            workload_by_name("lbmx4"),
-            scale=GOLDEN_SIZING["scale"],
-            seed=GOLDEN_SIZING["seed"],
-            engine=engine,
-        )
+    reference_digest = _scalar_reference_digest()
 
-    reference = fresh("scalar")
-    reference.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
-    reference_digest = stats_digest(reference)
-
-    victim = fresh("batched")
+    victim = _golden_lbmx4()
     Checkpointer(tmp_path, cut_points=[WARMUP_CUT, MEASURE_CUT]).arm(victim)
     victim.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
     assert stats_digest(victim) == reference_digest
@@ -368,7 +379,6 @@ def test_batched_mid_batch_cuts_resume_bit_identical(tmp_path):
         path = tmp_path / f"cut_{cut}.ckpt"
         assert path.exists(), f"cut at step {cut} was not written"
         restored = load_checkpoint(path)
-        assert restored.engine == "batched"
         restored.resume_run()
         assert stats_digest(restored) == reference_digest, (
             f"batched resume from step {cut} diverged from scalar reference"
@@ -377,46 +387,33 @@ def test_batched_mid_batch_cuts_resume_bit_identical(tmp_path):
 
 def test_chunked_stream_two_interior_cuts_resume_bit_identical(tmp_path):
     """Two interior cuts of a chunked-stream run resume bit-identical —
-    against a *per-op*-stream scalar reference.
+    against the scalar oracle's uninterrupted run.
 
-    The chunked stream buffers :class:`~repro.workloads.chunks.OpChunk`
-    batches, so both cut points land mid-chunk with near certainty; the
-    resumed stream must fast-forward through whole chunks and re-enter the
-    final one at the recorded interior offset (REPRO-CKPT consumption
-    accounting).  Comparing against ``stream="perop"`` additionally pins
-    the stream-mode equivalence end to end at the system level, not just
-    at the generator layer (tests/property/test_chunk_streams.py).
+    The stream buffers :class:`~repro.workloads.chunks.OpChunk` batches,
+    so both cut points land mid-chunk: the resumed stream must
+    fast-forward through whole chunks and re-enter the final one at the
+    recorded interior offset (REPRO-CKPT consumption accounting).  The
+    test asserts the cut really is mid-chunk for some core, so it cannot
+    pass on whole-chunk boundaries alone.
     """
     from repro.bench import stats_digest
-    from repro.sim.system import build_system
 
-    def fresh(stream_mode, engine):
-        return build_system(
-            "pageseer",
-            workload_by_name("lbmx4"),
-            scale=GOLDEN_SIZING["scale"],
-            seed=GOLDEN_SIZING["seed"],
-            config_mutator=lambda c: dataclasses.replace(c, stream=stream_mode),
-            engine=engine,
-        )
+    reference_digest = _scalar_reference_digest()
 
-    reference = fresh("perop", "scalar")
-    reference.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
-    reference_digest = stats_digest(reference)
-
-    victim = fresh("chunked", "batched")
+    victim = _golden_lbmx4()
     Checkpointer(tmp_path, cut_points=[WARMUP_CUT, MEASURE_CUT]).arm(victim)
     victim.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
     assert stats_digest(victim) == reference_digest, (
-        "chunked-stream batched run diverged from per-op scalar reference"
+        "chunked-stream run diverged from the scalar reference"
     )
 
     for cut in (WARMUP_CUT, MEASURE_CUT):
         path = tmp_path / f"cut_{cut}.ckpt"
         assert path.exists(), f"interior cut at step {cut} was not written"
         restored = load_checkpoint(path)
-        stream = restored.cores[0].ops
-        assert stream.mode == "chunked", "stream mode must survive the cut"
+        assert any(core.ops._pos > 0 for core in restored.cores), (
+            f"cut {cut} landed on chunk boundaries for every core"
+        )
         restored.resume_run()
         assert stats_digest(restored) == reference_digest, (
             f"chunked-stream resume from interior cut {cut} diverged"
@@ -464,17 +461,18 @@ def test_numpy_array_state_round_trips_checkpoint(tmp_path):
     assert stats_digest(restored) == stats_digest(system)
 
 
-def test_soa_timeline_round_trips_codec():
-    """SoaBankedTimeline state survives the snapshot codec layer."""
+def test_dense_vpn_cache_round_trips_codec():
+    """DenseVpnCache state survives the snapshot codec layer."""
     import numpy as np
 
-    from repro.common.timeline import SoaBankedTimeline
     from repro.snapshot import codec
+    from repro.vm.mmu import DenseVpnCache
 
-    soa = SoaBankedTimeline(6)
-    soa.reserve(2, 10, 7)
-    soa.reserve_all(20, 3)
-    restored = codec.loads(codec.dumps(soa))
-    assert np.array_equal(restored.busy_until, soa.busy_until)
-    assert np.array_equal(restored.total_busy, soa.total_busy)
-    assert restored.busy_until.dtype == np.int64
+    cache = DenseVpnCache(1000, capacity=64)
+    cache[cache.base_vpn + 3] = 17
+    cache[cache.base_vpn - 5] = 9  # outside the dense window: overflow
+    restored = codec.loads(codec.dumps(cache))
+    assert np.array_equal(restored._ppns, cache._ppns)
+    assert restored._ppns.dtype == np.int64
+    assert restored._overflow == cache._overflow
+    assert restored.get(cache.base_vpn + 3) == 17

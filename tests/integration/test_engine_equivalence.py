@@ -2,19 +2,22 @@
 
 The batched engine (``repro.sim.engine``) drains independent operations
 per core between shared events; its equivalence contract says the result
-is *bit-identical* to the scalar reference scheduler, not statistically
-close.  This suite is the proof obligation:
+is *bit-identical* to the scalar reference scheduler
+(``tests/oracles/scalar_engine.py``), not statistically close.  This
+suite is the proof obligation:
 
-* every scheme × representative workload runs under both engines and must
-  produce identical stats snapshots (the full dict, not just a digest),
-  identical per-core end states, and the identical *sequence* of swap
-  transfers (page/segment moves with their timestamps and directions);
+* every scheme × representative workload runs on the engine and on the
+  oracle, and the two must produce identical stats snapshots (the full
+  dict, not just a digest), identical per-core end states, and the
+  identical *sequence* of swap transfers (page/segment moves with their
+  timestamps and directions);
 * a hypothesis harness samples configurations — scheme, workload, seed,
   ablation variant, and the chunking of ``run_ops`` calls — and compares
-  the two engines op-for-op at every chunk boundary, so a divergence is
+  engine and oracle op-for-op at every chunk boundary, so a divergence is
   pinned to the first chunk it appears in rather than the end of a run.
 """
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -26,6 +29,8 @@ from repro.experiments.runner import VARIANTS
 from repro.faults import resolve_profile
 from repro.sim.system import SCHEMES, build_system
 from repro.workloads import workload_by_name
+
+from tests.oracles.scalar_engine import scalar_engine
 
 ALL_SCHEMES = sorted(SCHEMES)
 
@@ -59,6 +64,8 @@ def _record_swap_events(system):
 
 def _run(scheme, workload_name, engine, *, ops=1200, seed=0, scale=1024,
          variant="default", chunks=None, config_mutator=None, faults=None):
+    """Run one configuration on ``engine``: "batched" (production) or
+    "scalar" (the oracle)."""
     system = build_system(
         scheme,
         workload_by_name(workload_name),
@@ -66,14 +73,14 @@ def _run(scheme, workload_name, engine, *, ops=1200, seed=0, scale=1024,
         seed=seed,
         config_mutator=config_mutator or VARIANTS[variant],
         faults=faults,
-        engine=engine,
     )
     events = _record_swap_events(system)
     checkpoints = []
     remaining = list(chunks) if chunks else [ops]
-    for chunk in remaining:
-        system.run_ops(chunk)
-        checkpoints.append(_core_state(system))
+    with scalar_engine() if engine == "scalar" else contextlib.nullcontext():
+        for chunk in remaining:
+            system.run_ops(chunk)
+            checkpoints.append(_core_state(system))
     return {
         "stats": system.stats.as_dict(),
         "digest": stats_digest(system),

@@ -1,7 +1,8 @@
 """The distributed sweep service, unchaosed: protocol + equivalence.
 
-Contract under test (docs/SWEEP_SERVICE.md): ``repro sweep
---distributed`` is interchangeable with the serial runner — same cache
+Contract under test (docs/SWEEP_SERVICE.md): ``repro sweep --jobs N``
+(N > 1: the local server + worker fleet) is interchangeable with the
+serial ``--jobs 1`` runner — same cache
 entries, bit-identical metrics — and the server's handlers are
 idempotent enough that retried or duplicated RPCs cannot corrupt the
 result set.

@@ -1,31 +1,34 @@
 """Property suite for the array-native stream layer.
 
-Pins the contract the batched engine and the checkpointer both rely on:
+Pins the contract the engine and the checkpointer both rely on:
 
-* the block view and the per-op view of a workload are the *same* op
-  sequence (``chunked`` vs ``perop`` stream modes are interchangeable);
+* a :class:`ReplayStream` emits exactly the workload's per-op view
+  (registry-wide per-generator equality lives in
+  ``test_generator_registry.py``);
 * :func:`chunks_from_blocks` is a pure coalescer — chunk columns are the
   concatenation of the block columns, block boundaries never split, and
   every chunk except the last reaches the target size;
-* :class:`ReplayStream`'s two consumption protocols (scalar ``__next__``
-  and chunk-aware ``peek_chunk``/``advance``) move the same counter and
-  hand out the same ops under any interleaving;
+* ``peek_chunk``/``advance`` hand out the same ops whatever the advance
+  step pattern, and move one counter;
 * a pickled stream restores at any ``consumed`` point — including
-  mid-chunk — and the remaining sequence is bit-identical.
+  mid-chunk — and the remaining sequence is bit-identical, also from the
+  older 5- and 6-tuple checkpoint states.
 """
 
+import itertools
 import pickle
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.workloads.base import unique_workload
 from repro.workloads.chunks import (
     OpChunk,
     chunks_from_blocks,
-    chunks_from_ops,
     ops_from_blocks,
 )
 from repro.snapshot.stream import ReplayStream
+
+from tests.oracles.scalar_engine import chunks_from_ops
 
 # -- synthetic block streams (coalescer-level properties) ------------------
 
@@ -85,8 +88,9 @@ class TestChunkCoalescer:
     def test_perop_batching_equals_block_coalescing_op_sequence(
         self, blocks, target
     ):
-        """chunks_from_ops over the per-op view carries the same ops in the
-        same order (chunk *edges* may differ; the sequence may not)."""
+        """The oracle's chunks_from_ops over the per-op view carries the
+        same ops in the same order (chunk *edges* may differ; the sequence
+        may not)."""
         from_blocks = list(chunks_from_blocks(iter(blocks), target))
         from_ops = list(chunks_from_ops(ops_from_blocks(iter(blocks)), target))
         flat_a = [
@@ -121,37 +125,50 @@ class TestChunkCoalescer:
         assert index == len(ops)
 
 
-# -- ReplayStream consumption protocols ------------------------------------
+# -- ReplayStream consumption protocol ---------------------------------------
 
 _GENERATORS = ("stream_sweep", "hot_cold", "pointer_chase", "random_mix")
 
 
-def _stream(generator, seed, mode):
-    workload = unique_workload("prop", "test", 1, 64, generator)
-    return ReplayStream(workload, core_id=0, seed=seed, scale=1024, mode=mode)
+def _workload(generator):
+    return unique_workload("prop", "test", 1, 64, generator)
 
 
-def _take(stream, count):
-    return [
-        (op.vaddr, op.is_write, op.instructions_before)
-        for op in (next(stream) for _ in range(count))
-    ]
+def _stream(generator, seed):
+    return ReplayStream(_workload(generator), core_id=0, seed=seed, scale=1024)
 
 
-class TestReplayStreamProtocols:
+def _take(stream, count, step=None):
+    """Consume *count* ops through ``peek_chunk``/``advance``, at most
+    *step* ops per advance (default: as many as the chunk holds)."""
+    taken = []
+    while len(taken) < count:
+        peeked = stream.peek_chunk()
+        assert peeked is not None, "synthetic streams are infinite"
+        chunk, pos = peeked
+        n = min(count - len(taken), chunk.length - pos, step or count)
+        taken += zip(
+            chunk.vaddrs[pos:pos + n], chunk.writes[pos:pos + n], chunk.instr[pos:pos + n]
+        )
+        stream.advance(n)
+    return taken
+
+
+class TestReplayStreamProtocol:
     @given(
         generator=st.sampled_from(_GENERATORS),
         seed=st.integers(0, 2**16),
         count=st.integers(1, 600),
     )
     @settings(max_examples=40, deadline=None)
-    def test_chunked_and_perop_modes_emit_identical_ops(
-        self, generator, seed, count
-    ):
-        chunked = _stream(generator, seed, "chunked")
-        perop = _stream(generator, seed, "perop")
-        assert _take(chunked, count) == _take(perop, count)
-        assert chunked.consumed == perop.consumed == count
+    def test_stream_emits_the_per_op_view(self, generator, seed, count):
+        stream = _stream(generator, seed)
+        per_op = _workload(generator).make_stream(0, seed, 1024)
+        assert _take(stream, count) == [
+            (op.vaddr, op.is_write, op.instructions_before)
+            for op in itertools.islice(per_op, count)
+        ]
+        assert stream.consumed == count
 
     @given(
         generator=st.sampled_from(_GENERATORS),
@@ -159,27 +176,25 @@ class TestReplayStreamProtocols:
         advances=st.lists(st.integers(1, 64), min_size=1, max_size=20),
     )
     @settings(max_examples=40, deadline=None)
-    def test_advance_and_next_interleave_consistently(
+    def test_advance_patterns_hand_out_the_same_ops(
         self, generator, seed, advances
     ):
-        """Chunk-aware consumption sees exactly the ops the per-op view
-        hands out, whatever the advance step pattern."""
-        reference = _stream(generator, seed, "chunked")
-        stream = _stream(generator, seed, "chunked")
+        """Multi-op advances see exactly the ops single-op advances hand
+        out, whatever the step pattern."""
+        reference = _stream(generator, seed)
+        stream = _stream(generator, seed)
         for step in advances:
-            peeked = stream.peek_chunk()
-            assert peeked is not None, "synthetic streams are infinite"
-            chunk, pos = peeked
+            chunk, pos = stream.peek_chunk()
             take = min(step, chunk.length - pos)
             window = [
                 (chunk.vaddrs[pos + k], chunk.writes[pos + k], chunk.instr[pos + k])
                 for k in range(take)
             ]
             stream.advance(take)
-            assert window == _take(reference, take)
-            # One scalar op through __next__ keeps the two protocols honest
-            # against each other on the same stream object.
-            assert _take(stream, 1) == _take(reference, 1)
+            assert window == _take(reference, take, step=1)
+            # One single-op advance on the same stream object keeps the
+            # two step sizes honest against each other.
+            assert _take(stream, 1) == _take(reference, 1, step=1)
         assert stream.consumed == reference.consumed
 
     @given(
@@ -194,7 +209,7 @@ class TestReplayStreamProtocols:
     ):
         """Restore at any consumption point — whole-chunk or interior —
         and the continuation is bit-identical."""
-        reference = _stream(generator, seed, "chunked")
+        reference = _stream(generator, seed)
         _take(reference, consumed)
         restored = pickle.loads(pickle.dumps(reference))
         assert restored.consumed == consumed
@@ -203,7 +218,7 @@ class TestReplayStreamProtocols:
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)
     def test_advance_rejects_cross_chunk_counts(self, seed):
-        stream = _stream("stream_sweep", seed, "chunked")
+        stream = _stream("stream_sweep", seed)
         chunk, pos = stream.peek_chunk()
         stream.advance(0)  # no-op by contract
         assert stream.consumed == 0
@@ -214,6 +229,35 @@ class TestReplayStreamProtocols:
         else:
             raise AssertionError("advance past the buffered chunk must raise")
         assert stream.consumed == 0
+
+
+class TestOlderCheckpointStates:
+    """Checkpoints written before the stream modes were retired carry a
+    5-tuple state (before chunked streams) or a 6-tuple ending in the
+    mode ("chunked" or "perop").  Each must restore to the identical
+    remaining op sequence."""
+
+    @given(
+        generator=st.sampled_from(_GENERATORS),
+        seed=st.integers(0, 2**16),
+        consumed=st.integers(0, 1200),
+        remaining=st.integers(1, 300),
+    )
+    @example(generator="stream_sweep", seed=3, consumed=300, remaining=300)
+    @example(generator="hot_cold", seed=5, consumed=700, remaining=100)
+    @settings(max_examples=40, deadline=None)
+    def test_five_and_six_tuple_states_restore(
+        self, generator, seed, consumed, remaining
+    ):
+        workload = _workload(generator)
+        expected = _take(_stream(generator, seed), consumed + remaining)[consumed:]
+        base = (workload, 0, seed, 1024, consumed)
+        for state in (base, base + ("chunked",), base + ("perop",)):
+            restored = ReplayStream.__new__(ReplayStream)
+            restored.__setstate__(state)
+            assert restored.consumed == consumed
+            assert _take(restored, remaining) == expected, state[5:]
+            assert restored.consumed == consumed + remaining
 
 
 class TestOpChunkInvariants:

@@ -25,29 +25,19 @@ class TestBenchJson:
         document = json.loads((tmp_path / "BENCH_unit.json").read_text())
         assert document["label"] == "unit"
         assert set(document["params"]) == {
-            "scale", "warmup_ops", "measure_ops", "seed", "repeats", "engines"
+            "scale", "warmup_ops", "measure_ops", "seed", "repeats"
         }
         entry = document["results"]["noswap/milcx4"]
         assert entry["ops_per_sec"] > 0
         assert entry["ops"] == 200 * 4  # milcx4 runs four cores
         assert entry["wall_seconds_best"] <= entry["wall_seconds_total"]
         assert len(entry["stats_digest"]) == 16
-        assert entry["engine"] == "batched"
         assert isinstance(document["git_rev"], str)
 
-    def test_both_engines_benched_with_identical_digests(self, tmp_path):
-        """The default grid covers both engines; the scalar row carries
-        the @scalar key suffix and must agree bit-for-bit with batched."""
-        assert run_bench_cli(tmp_path, "--label", "eng") == 0
-        document = json.loads((tmp_path / "BENCH_eng.json").read_text())
-        batched = document["results"]["noswap/milcx4"]
-        scalar = document["results"]["noswap/milcx4@scalar"]
-        assert scalar["engine"] == "scalar"
-        assert scalar["stats_digest"] == batched["stats_digest"]
-
-    def test_single_engine_selection(self, tmp_path):
-        assert run_bench_cli(tmp_path, "--label", "solo",
-                             "--engines", "batched") == 0
+    def test_results_keep_bare_scheme_workload_keys(self, tmp_path):
+        """One row per grid cell under the bare ``scheme/workload`` key,
+        so new documents compare against the committed baselines."""
+        assert run_bench_cli(tmp_path, "--label", "solo") == 0
         document = json.loads((tmp_path / "BENCH_solo.json").read_text())
         assert list(document["results"]) == ["noswap/milcx4"]
 

@@ -209,30 +209,3 @@ class TestBaselineConfigs:
         assert mp.mea_counters == 64
         assert mp.interval_cycles == 100_000
         assert mp.segment_bytes == 2048
-
-
-class TestEngineSelection:
-    def test_default_engine_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_system_config(scale=1024).engine == "batched"
-
-    def test_repro_engine_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert default_system_config(scale=1024).engine == "scalar"
-
-    def test_blank_env_value_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "  ")
-        assert default_system_config(scale=1024).engine == "batched"
-
-    def test_invalid_env_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ConfigError):
-            default_system_config(scale=1024)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(engine="warp")
-
-    def test_scaled_preserves_engine(self):
-        config = SystemConfig(engine="scalar").scaled(1024)
-        assert config.engine == "scalar"

@@ -1,4 +1,8 @@
-"""Unit tests for the analytic core model (repro.sim.cpu)."""
+"""Unit tests for the analytic core model (repro.sim.cpu).
+
+Cores are stepped one op at a time on the full per-op path
+(``Core.execute``) by the scalar oracle's :func:`step`.
+"""
 
 import pytest
 
@@ -7,12 +11,13 @@ from repro.sim.cpu import MemoryOp
 from repro.workloads.synthetic import HEAP_BASE
 
 from tests.conftest import make_system
+from tests.oracles.scalar_engine import BareStream, step
 
 
 def run_ops(system, core_id=0, count=10):
     core = system.cores[core_id]
     for _ in range(count):
-        if not core.step():
+        if not step(core):
             break
     return core
 
@@ -34,9 +39,9 @@ class TestStepping:
     def test_stream_end_sets_done(self):
         system = make_system("noswap")
         core = system.cores[0]
-        core.ops = iter([MemoryOp(HEAP_BASE, False, 1)])
-        assert core.step()
-        assert not core.step()
+        core.ops = BareStream([MemoryOp(HEAP_BASE, False, 1)])
+        assert step(core)
+        assert not step(core)
         assert core.done
 
 
@@ -48,15 +53,15 @@ class TestMemoryInteraction:
     def test_first_touch_maps_page(self, tiny_system):
         core = tiny_system.cores[0]
         before = core.process.page_table.mapped_pages
-        core.step()
+        step(core)
         assert core.process.page_table.mapped_pages == before + 1
 
     def test_tlb_miss_then_hits_within_page(self):
         system = make_system("noswap")
         core = system.cores[0]
         ops = [MemoryOp(HEAP_BASE + 64 * k, False, 1) for k in range(8)]
-        core.ops = iter(ops)
-        while core.step():
+        core.ops = BareStream(ops)
+        while step(core):
             pass
         assert system.stats.get("tlb/misses") == 1
 
@@ -64,19 +69,19 @@ class TestMemoryInteraction:
         system = make_system("noswap")
         core = system.cores[0]
         # Two accesses to the same line: miss then L1 hit.
-        core.ops = iter([MemoryOp(HEAP_BASE, False, 0), MemoryOp(HEAP_BASE, False, 0)])
-        core.step()
+        core.ops = BareStream([MemoryOp(HEAP_BASE, False, 0), MemoryOp(HEAP_BASE, False, 0)])
+        step(core)
         after_miss = core.clock
-        core.step()
+        step(core)
         assert core.clock - after_miss < after_miss
 
     def test_write_stall_smaller_than_read(self):
         miss_read = make_system("noswap")
         miss_write = make_system("noswap")
-        miss_read.cores[0].ops = iter([MemoryOp(HEAP_BASE, False, 0)])
-        miss_write.cores[0].ops = iter([MemoryOp(HEAP_BASE, True, 0)])
-        miss_read.cores[0].step()
-        miss_write.cores[0].step()
+        miss_read.cores[0].ops = BareStream([MemoryOp(HEAP_BASE, False, 0)])
+        miss_write.cores[0].ops = BareStream([MemoryOp(HEAP_BASE, True, 0)])
+        step(miss_read.cores[0])
+        step(miss_write.cores[0])
         assert miss_write.cores[0].clock < miss_read.cores[0].clock
 
     def test_writebacks_do_not_stall(self):
@@ -87,7 +92,7 @@ class TestMemoryInteraction:
         ops = [
             MemoryOp(HEAP_BASE + 64 * l1_sets * k, True, 0) for k in range(40)
         ]
-        core.ops = iter(ops)
-        while core.step():
+        core.ops = BareStream(ops)
+        while step(core):
             pass
         assert system.stats.get("hmc/requests_writeback") > 0

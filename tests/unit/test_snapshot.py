@@ -25,6 +25,8 @@ from repro.snapshot import codec
 from repro.snapshot.checkpoint import MAGIC
 from repro.workloads import workload_by_name
 
+from tests.oracles.scalar_engine import next_op
+
 
 # -- codec: stats handles -----------------------------------------------------
 
@@ -138,13 +140,14 @@ class TestReplayStream:
     def test_replays_to_identical_position(self):
         workload = workload_by_name("lbmx4")
         stream = ReplayStream(workload, core_id=1, seed=3, scale=1024)
-        consumed = [next(stream) for _ in range(257)]
+        for _ in range(257):
+            next_op(stream)
         assert stream.consumed == 257
 
         restored = codec.loads(codec.dumps(stream))
         assert restored.consumed == 257
         for _ in range(100):
-            assert next(restored) == next(stream)
+            assert next_op(restored) == next_op(stream)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -159,10 +162,10 @@ class TestReplayStream:
         workload = workload_by_name("streamx4")
         stream = ReplayStream(workload, core_id=core_id, seed=seed, scale=1024)
         for _ in range(consumed):
-            next(stream)
+            next_op(stream)
         restored = codec.loads(codec.dumps(stream))
-        assert [next(stream) for _ in range(16)] == [
-            next(restored) for _ in range(16)
+        assert [next_op(stream) for _ in range(16)] == [
+            next_op(restored) for _ in range(16)
         ]
 
 

@@ -1,5 +1,7 @@
 """Unit tests for system assembly and the run loop (repro.sim.system)."""
 
+import itertools
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -7,6 +9,9 @@ from repro.sim.system import SCHEMES, System, build_system
 from repro.workloads import workload_by_name
 
 from repro.common.config import default_system_config
+from repro.sim.cpu import MemoryOp
+
+from tests.oracles.scalar_engine import BareStream, run_to_targets
 
 
 def tiny(scheme="noswap", workload="lbmx4"):
@@ -110,10 +115,11 @@ class _StubCore:
         self.clock = 0.0
         self.ops_executed = 0
         self.done = False
+        self.ops = BareStream(itertools.repeat(MemoryOp(0, False, 0)))
         self._step_cycles = step_cycles
         self._log = log
 
-    def step(self):
+    def execute(self, op):
         self._log.append((self.core_id, self.clock))
         self.clock += self._step_cycles
         self.ops_executed += 1
@@ -122,14 +128,13 @@ class _StubCore:
 class _StubSystem:
     """Bare ``cores`` holder to drive ``System.run_ops`` in isolation.
 
-    Pinned to the scalar engine: these tests define the reference
+    Pinned to the scalar oracle: these tests define the reference
     interleaving the batched engine must reproduce (the batched side is
     held to it by tests/integration/test_engine_equivalence.py).
     """
 
     run_ops = System.run_ops
-    _run_to_targets = System._run_to_targets
-    engine = "scalar"
+    _run_to_targets = run_to_targets
 
     def __init__(self, cores):
         self.cores = cores
@@ -179,12 +184,12 @@ class TestSchedulerTieBreaking:
         finishing = _StubCore(0, 10, log)
         running = _StubCore(1, 10, log)
 
-        def finish_after_two():
-            _StubCore.step(finishing)
+        def finish_after_two(op):
+            _StubCore.execute(finishing, op)
             if finishing.ops_executed == 2:
                 finishing.done = True
 
-        finishing.step = finish_after_two
+        finishing.execute = finish_after_two
         _StubSystem([finishing, running]).run_ops(5)
         assert finishing.ops_executed == 2
         assert running.ops_executed == 5
