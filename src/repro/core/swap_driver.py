@@ -32,7 +32,7 @@ TRIGGER_PCT = "pct"
 TRIGGER_REGULAR = "regular"
 TRIGGER_RESCUE = "rescue"
 
-#: Literal stats-key tables per trigger (auditable by the RL002 lint rule).
+#: Literal stats-key tables per trigger (auditable by the RL101 lint rule).
 _REQUEST_KEYS = {
     TRIGGER_MMU: "swap_driver/requests_mmu",
     TRIGGER_PCT: "swap_driver/requests_pct",

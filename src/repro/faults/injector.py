@@ -32,7 +32,7 @@ from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.common.timeline import Cycles
 
-#: Literal per-device stats-key tables (auditable by the RL002 lint rule).
+#: Literal per-device stats-key tables (auditable by the RL101 lint rule).
 _TRANSIENT_KEYS = {
     "dram": "faults/transient_dram",
     "nvm": "faults/transient_nvm",

@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from repro.lint.baseline import Baseline, DEFAULT_BASELINE_PATH
 from repro.lint.engine import LintEngine, Severity
-from repro.lint.program.cache import DEFAULT_CACHE_PATH
 
 #: What the linter covers when no explicit path is given.
 DEFAULT_LINT_PATHS = ("src/repro",)
@@ -47,25 +46,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="project root paths are resolved against (default: cwd)",
     )
     parser.add_argument(
-        "--program", action="store_true",
-        help="enable the whole-program analyzer (RL1xx rules: cross-module "
-             "stats liveness, determinism taint, checkpoint reachability, "
-             "SoA kernel contracts)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="facts-cache file for incremental --program runs "
-             f"(default: {DEFAULT_CACHE_PATH}); only read/written with "
-             "--program",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="force a cold --program run (no cache read or write)",
-    )
-    parser.add_argument(
         "--graph", choices=("dot",), default=None,
-        help="instead of linting, dump the resolved whole-program call "
-             "graph (implies --program)",
+        help="instead of linting, dump the resolved whole-program call graph",
     )
 
 
@@ -76,21 +58,11 @@ def run_lint(
     use_baseline: bool = True,
     update_baseline: bool = False,
     root: Optional[Path] = None,
-    program: bool = False,
-    cache: Optional[str] = None,
-    no_cache: bool = False,
     graph: Optional[str] = None,
 ) -> int:
     """Lint *paths* and print a report; returns the process exit code."""
     root = (root or Path.cwd()).resolve()
-    if graph is not None:
-        program = True
-    cache_path: Optional[Path] = None
-    if program and not no_cache:
-        cache_path = Path(cache) if cache else Path(DEFAULT_CACHE_PATH)
-        if not cache_path.is_absolute():
-            cache_path = root / cache_path
-    engine = LintEngine(root=root, program=program, cache_path=cache_path)
+    engine = LintEngine(root=root)
     report = engine.run(list(paths) if paths else list(DEFAULT_LINT_PATHS))
 
     if graph == "dot":
@@ -151,8 +123,5 @@ def command_lint(args: argparse.Namespace) -> int:
         use_baseline=not args.no_baseline,
         update_baseline=args.update_baseline,
         root=Path(args.root) if args.root else None,
-        program=args.program,
-        cache=args.cache,
-        no_cache=args.no_cache,
         graph=args.graph,
     )

@@ -1,15 +1,18 @@
 """The lint rule engine: file loading, rule dispatch, suppressions.
 
-The engine parses every target file once, hands the AST to each registered
+The engine parses every target file once, hands the AST to each selected
 rule twice — a per-file ``collect`` pass and a whole-project ``finalize``
 pass — and then filters the emitted findings through inline suppressions
 and (optionally) the committed baseline.
 
 Rules are plain classes registered with :func:`register_rule`; each one
 owns a rule id (``RL001`` ...), a default severity, and whatever state it
-needs to accumulate across files.  Cross-file rules (stats-key liveness,
-config liveness) collect facts in ``collect`` and emit in ``finalize``;
-single-file rules emit directly from ``collect``.
+needs to accumulate across files.  Per-file AST rules emit from
+``collect``, or from ``finalize`` when a check spans files (config
+liveness, the project's dataclass set for hot-path hygiene).  Whole-program
+rules (:class:`repro.lint.program.base.ProgramRule`, RL1xx) reason over a
+:class:`repro.lint.program.model.ProgramModel`, which the engine builds
+once per run when any selected rule needs it.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Type, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Type, TypeVar, Union
 
 #: Path segments that mark simulation-critical code: determinism and
-#: stats-discipline rules apply only inside these packages.
+#: stats-key rules apply only inside these packages.
 SIM_PACKAGES = frozenset(
     {"sim", "mem", "core", "vm", "cache", "baselines"}
 )
@@ -147,10 +150,9 @@ class ProjectContext:
         self.root = root
         self.files: List[SourceFile] = []
         self.findings: List[Finding] = []
-        #: The whole-program model when ``--program`` is active (a
-        #: :class:`repro.lint.program.model.ProgramModel`); rules use it
-        #: both to emit RL1xx findings and to dedupe their per-file
-        #: approximations (RL002/RL006).
+        #: The whole-program model (a
+        #: :class:`repro.lint.program.model.ProgramModel`) when a selected
+        #: rule needs it; RL1xx rules emit their findings from it.
         self.program_model: Optional[object] = None
 
     def emit(
@@ -203,8 +205,10 @@ class Rule:
 
 _REGISTRY: List[Type[Rule]] = []
 
+_RuleType = TypeVar("_RuleType", bound=Type[Rule])
 
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
+
+def register_rule(cls: _RuleType) -> _RuleType:
     """Class decorator adding a rule to the default rule set."""
     _REGISTRY.append(cls)
     return cls
@@ -212,8 +216,9 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule (import-time registry)."""
-    # Importing the rules package populates the registry on first use.
+    # Importing the rule packages populates the registry on first use.
     from repro.lint import rules  # noqa: F401
+    from repro.lint.program import rules as program_rules  # noqa: F401
 
     return [cls() for cls in _REGISTRY]
 
@@ -272,14 +277,9 @@ class LintEngine:
         self,
         rules: Optional[Sequence[Rule]] = None,
         root: Optional[Path] = None,
-        program: bool = False,
-        cache_path: Optional[Path] = None,
     ):
         self.rules = list(rules) if rules is not None else all_rules()
         self.root = (root or Path.cwd()).resolve()
-        self.program = program
-        #: Facts-cache location for program mode; None disables caching.
-        self.cache_path = cache_path
         #: The last run's program model (for --graph dumps and tests).
         self.last_program_model: Optional[object] = None
 
@@ -321,25 +321,19 @@ class LintEngine:
             ctx.files.append(SourceFile(path, self._relpath(path), text, tree))
         report.files_checked = len(ctx.files)
 
-        rules = self.rules
-        if self.program:
-            # Build the whole-program model *before* any collect pass so
-            # per-file rules can already dedupe against it, then append
-            # the RL1xx rules to the dispatch list.
-            from repro.lint.program.base import all_program_rules
-            from repro.lint.program.cache import AnalysisCache
+        from repro.lint.program.base import ProgramRule
+
+        if any(isinstance(rule, ProgramRule) for rule in self.rules):
             from repro.lint.program.model import build_program_model
 
-            cache = AnalysisCache(self.cache_path) if self.cache_path else None
-            model = build_program_model(self.root, ctx.files, cache)
+            model = build_program_model(self.root, ctx.files)
             ctx.program_model = model
             self.last_program_model = model
-            rules = rules + all_program_rules()
 
-        for rule in rules:
+        for rule in self.rules:
             for source in ctx.files:
                 rule.collect(source, ctx)
-        for rule in rules:
+        for rule in self.rules:
             rule.finalize(ctx)
 
         for finding in sorted(
@@ -357,10 +351,6 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    program: bool = False,
-    cache_path: Optional[Path] = None,
 ) -> LintReport:
     """Convenience wrapper: lint *paths* with the default rule set."""
-    return LintEngine(
-        rules=rules, root=root, program=program, cache_path=cache_path
-    ).run(paths)
+    return LintEngine(rules=rules, root=root).run(paths)

@@ -1,27 +1,18 @@
 """Whole-program analysis layer for the repro linter (RL1xx rules).
 
-Per-file facts (:mod:`~repro.lint.program.facts`) are extracted once per
-content hash (:mod:`~repro.lint.program.cache`), composed into a symbol
-table and call graph (:mod:`~repro.lint.program.symbols`,
+Per-file facts (:mod:`~repro.lint.program.facts`, extracted by
+:mod:`~repro.lint.program.extract`) are composed into a symbol table and
+call graph (:mod:`~repro.lint.program.symbols`,
 :mod:`~repro.lint.program.callgraph`), and closed under interprocedural
 propagation (:mod:`~repro.lint.program.model`).  The RL1xx rules in
 :mod:`~repro.lint.program.rules` interpret the resulting model.
 """
 
-from repro.lint.program.base import (
-    ProgramRule,
-    all_program_rules,
-    register_program_rule,
-)
-from repro.lint.program.cache import DEFAULT_CACHE_PATH, AnalysisCache
+from repro.lint.program.base import ProgramRule
 from repro.lint.program.model import ProgramModel, build_program_model
 
 __all__ = [
-    "AnalysisCache",
-    "DEFAULT_CACHE_PATH",
     "ProgramModel",
     "ProgramRule",
-    "all_program_rules",
     "build_program_model",
-    "register_program_rule",
 ]

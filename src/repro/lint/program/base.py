@@ -1,10 +1,10 @@
-"""Base class and registry for whole-program (RL1xx) rules.
+"""Base class for whole-program (RL1xx) rules.
 
 A program rule is an ordinary engine :class:`~repro.lint.engine.Rule`
 whose ``collect`` pass is a no-op; all of its reasoning happens in
 ``finalize`` against ``ctx.program_model`` (a
 :class:`~repro.lint.program.model.ProgramModel` the engine builds before
-dispatching rules when ``--program`` is active).
+dispatching rules whenever a selected rule is a :class:`ProgramRule`).
 
 Program rules must emit findings only into *linted* files: the model
 spans the full ``src/repro`` tree even when a subset is linted, and a
@@ -14,25 +14,10 @@ the user who asked for that subset.
 
 from __future__ import annotations
 
-from typing import List, Optional, Type
+from typing import Optional
 
 from repro.lint.engine import Finding, ProjectContext, Rule, Severity, SourceFile
 from repro.lint.program.model import ProgramModel
-
-_PROGRAM_REGISTRY: List[Type["ProgramRule"]] = []
-
-
-def register_program_rule(cls: Type["ProgramRule"]) -> Type["ProgramRule"]:
-    """Class decorator adding a rule to the program (``--program``) set."""
-    _PROGRAM_REGISTRY.append(cls)
-    return cls
-
-
-def all_program_rules() -> List["ProgramRule"]:
-    """Fresh instances of every registered program rule."""
-    from repro.lint.program import rules  # noqa: F401  (registry import)
-
-    return [cls() for cls in _PROGRAM_REGISTRY]
 
 
 class ProgramRule(Rule):

@@ -2,8 +2,9 @@
 
 This is the only program-analysis phase that looks at ASTs; everything
 downstream (symbol resolution, call-graph propagation, the RL1xx rules)
-consumes the serializable facts it produces, which is what makes the
-content-hash cache sound: same bytes, same facts.
+consumes the facts it produces.  It also owns the syntactic classifiers
+those rules share: stats record/read call shapes (RL101), snapshot-unsafe
+``self`` assignments (RL103), and raw persistent writes (RL105).
 
 The extractor knows the file's *local* context — its imports, its
 package location, which receivers look like stats registries or
@@ -14,6 +15,7 @@ through a :class:`~repro.lint.program.dataflow.TaintEnv`.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.engine import SIM_PACKAGES
@@ -27,6 +29,7 @@ from repro.lint.program.facts import (
     ArrayFact,
     AttrEdge,
     ClassFacts,
+    CtorArg,
     FunctionFacts,
     KeySite,
     ModuleFacts,
@@ -37,16 +40,11 @@ from repro.lint.program.facts import (
     UnsafeAssign,
 )
 from repro.lint.program.symbols import module_name_for
-from repro.lint.rules.hot_path import _marked_hot, _numpy_aliases
-from repro.lint.rules.persist_discipline import classify_raw_write
-from repro.lint.rules.snapshot_safety import (
-    _EXEMPT_METHODS,
-    SnapshotSafetyRule,
-    _returns_nested_function,
-    _rooted_at_self,
-)
 
-#: Mirrors RL001/RL002: stats record/read method names and receivers.
+#: Stats record/read method names on a ``stats``-named receiver.
+#: ``counter``/``observer`` return bound record handles (resolved once at
+#: construction time); the key they bind is recorded exactly like an
+#: ``add``/``observe`` call site.
 _RECORD_METHODS = frozenset({"add", "observe", "counter", "observer"})
 _READ_METHODS = frozenset({"get", "mean", "total", "count", "maximum"})
 
@@ -75,6 +73,225 @@ DTYPE_ORDER: Dict[str, int] = {
     "float16": 17, "float32": 33, "float64": 65, "float": 65, "double": 65,
     "complex64": 66, "complex128": 130,
 }
+
+
+# -- snapshot safety (RL103) ------------------------------------------------
+
+#: Defining any of these means the class owns its pickled encoding.
+_ENCODING_METHODS = frozenset({"__getstate__", "__reduce__", "__reduce_ex__"})
+
+#: Enum classes pickle their members by name, never by instance state.
+_ENUM_BASES = frozenset({"Enum", "IntEnum", "Flag", "IntFlag", "StrEnum"})
+
+_THREADING_PRIMITIVES = frozenset(
+    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+     "Event", "Barrier"}
+)
+
+#: ``socket.<ctor>`` calls that hand back a live kernel socket.
+_SOCKET_CONSTRUCTORS = frozenset(
+    {"socket", "create_connection", "socketpair", "fromfd"}
+)
+
+#: ``selectors.<cls>()`` — selector objects wrap epoll/kqueue fds.
+_SELECTOR_CLASSES = frozenset(
+    {"DefaultSelector", "SelectSelector", "PollSelector", "EpollSelector",
+     "DevpollSelector", "KqueueSelector"}
+)
+
+
+def _rooted_at_self(node: ast.AST) -> bool:
+    """True for ``self.x`` and deeper chains like ``self.hmc.handle``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _returns_nested_function(func: FunctionNode) -> bool:
+    """True when *func* defines an inner function/lambda and returns it."""
+    inner: Set[str] = {
+        child.name
+        for child in ast.walk(func)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and child is not func
+    }
+    for child in ast.walk(func):
+        if not isinstance(child, ast.Return) or child.value is None:
+            continue
+        value = child.value
+        if isinstance(value, ast.Lambda):
+            return True
+        if isinstance(value, ast.Name) and value.id in inner:
+            return True
+    return False
+
+
+def _classify(
+    value: ast.AST, local_functions: Set[str], factories: Set[str]
+) -> Optional[str]:
+    """Describe *value* when storing it on ``self`` breaks a checkpoint.
+
+    Process-local objects do not survive pickling: lambdas and closures
+    (including the result of a closure-factory method of the same
+    class), open files, threading primitives, live sockets and I/O
+    selectors.
+    """
+    if isinstance(value, ast.Lambda):
+        return "a lambda"
+    if isinstance(value, ast.Name) and value.id in local_functions:
+        return f"the local closure {value.id!r}"
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    if isinstance(func, ast.Name):
+        if func.id == "open":
+            return "an open file handle"
+        if func.id == "socket":
+            # ``from socket import socket`` idiom.
+            return "a live socket"
+        if func.id in _SELECTOR_CLASSES:
+            return f"a live I/O selector ({func.id})"
+        if func.id in local_functions:
+            return f"the result of local closure {func.id!r}"
+        return None
+    if not isinstance(func, ast.Attribute) or not isinstance(func.value, ast.Name):
+        return None
+    base, attr = func.value.id, func.attr
+    if base == "threading" and attr in _THREADING_PRIMITIVES:
+        return f"a threading.{attr}"
+    if base == "socket" and attr in _SOCKET_CONSTRUCTORS:
+        return f"a live socket (socket.{attr})"
+    if base == "selectors" and attr in _SELECTOR_CLASSES:
+        return f"a live I/O selector (selectors.{attr})"
+    if base == "self" and attr in factories:
+        return f"a closure built by factory method {attr!r}"
+    return None
+
+
+# -- persist discipline (RL105) ---------------------------------------------
+
+#: Packages whose files own durable state (checkpoints, manifests,
+#: results, caches); ``bench.py`` writes BENCH_*.json documents.
+_PERSIST_PACKAGES = frozenset({"snapshot", "sweepd", "experiments"})
+_PERSIST_FILES = frozenset({"bench.py"})
+
+#: ``open`` modes that create or mutate the target file.
+_WRITE_MODE_CHARS = frozenset("wax+")
+
+
+def in_persistence_scope(parts: Sequence[str]) -> bool:
+    """True when a relpath's segments fall under the persistence scope."""
+    return any(part in _PERSIST_PACKAGES for part in parts) or (
+        bool(parts) and parts[-1] in _PERSIST_FILES
+    )
+
+
+def _literal_mode(candidate: Optional[ast.expr]) -> Optional[str]:
+    if isinstance(candidate, ast.Constant) and isinstance(candidate.value, str):
+        return candidate.value
+    return None
+
+
+def _mode_argument(node: ast.Call, position: int) -> Optional[str]:
+    """The literal mode of an ``open``-shaped call (None: read/unknown)."""
+    if len(node.args) > position:
+        return _literal_mode(node.args[position])
+    for keyword in node.keywords:
+        if keyword.arg == "mode":
+            return _literal_mode(keyword.value)
+    return None
+
+
+def classify_raw_write(node: ast.Call) -> Optional[str]:
+    """Describe *node* when it is a raw persistent-write call, else None.
+
+    Raw shapes: ``open(..., "w")`` and ``<path>.open("w")`` with any mode
+    containing ``w``, ``a``, ``x`` or ``+``; ``json.dump``/``pickle.dump``
+    (a stream dump implies a writable handle); ``<path>.write_text`` and
+    ``<path>.write_bytes``.
+    """
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = _mode_argument(node, 1)
+        if mode is not None and _WRITE_MODE_CHARS.intersection(mode):
+            return f'open(..., "{mode}")'
+        return None
+    if isinstance(func, ast.Attribute):
+        base = func.value
+        if isinstance(base, ast.Name) and base.id in ("json", "pickle") \
+                and func.attr == "dump":
+            return f"{base.id}.dump(...)"
+        if func.attr in ("write_text", "write_bytes"):
+            return f".{func.attr}(...)"
+        if func.attr == "open":
+            mode = _mode_argument(node, 0)
+            if mode is not None and _WRITE_MODE_CHARS.intersection(mode):
+                return f'.open("{mode}")'
+    return None
+
+
+# -- stats keys (RL101) -------------------------------------------------------
+
+
+def _edit_distance(a: str, b: str, limit: int = 3) -> int:
+    """Levenshtein distance, capped at *limit* for speed."""
+    if abs(len(a) - len(b)) > limit:
+        return limit + 1
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        if min(current) > limit:
+            return limit + 1
+        previous = current
+    return previous[-1]
+
+
+# -- shared AST helpers -------------------------------------------------------
+
+_HOT_MARKER = re.compile(r"^\s*#\s*repro-hot\b")
+
+
+def _marked_hot(lines: Sequence[str], node: FunctionNode) -> bool:
+    """True when ``# repro-hot`` sits directly above the def/decorators."""
+    start = node.lineno
+    for decorator in node.decorator_list:
+        start = min(start, decorator.lineno)
+    above = start - 2  # 0-indexed line above the first def/decorator line
+    return 0 <= above < len(lines) and bool(_HOT_MARKER.match(lines[above]))
+
+
+def _numpy_aliases(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
+    """Return (module aliases, directly-imported constructor names).
+
+    ``import numpy as np`` yields ``{"np"}``; ``from numpy import zeros``
+    yields ``{"zeros"}`` in the second set.  Guarded imports (inside
+    ``try:``) are found too — ``ast.walk`` sees through the Try block.
+    """
+    modules: Set[str] = set()
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy" or alias.name.startswith("numpy."):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[0] == "numpy":
+                for alias in node.names:
+                    names.add(alias.asname or alias.name)
+    return modules, names
+
+
+def _is_class_name(name: str) -> bool:
+    """Class-like by convention: ``Core``, and private ``_Pod`` too."""
+    return name.lstrip("_")[:1].isupper()
 
 
 def _attr_chain(node: ast.AST) -> Optional[List[str]]:
@@ -109,7 +326,7 @@ def _annotation_class_leaves(node: Optional[ast.AST]) -> List[str]:
     out: List[str] = []
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
-            if child.id[:1].isupper() and child.id not in (
+            if _is_class_name(child.id) and child.id not in (
                 "List", "Dict", "Set", "Tuple", "Optional", "Union",
                 "Sequence", "Mapping", "Iterable", "Callable", "Type",
                 "FrozenSet", "Deque", "DefaultDict", "Any", "None",
@@ -136,7 +353,10 @@ class _Extractor:
         parts = tuple(part for part in relpath.split("/") if part)
         self.in_sim_package = any(part in SIM_PACKAGES for part in parts)
         self.facts = ModuleFacts(
-            relpath=relpath, module=self.module, in_sim_package=self.in_sim_package
+            relpath=relpath,
+            module=self.module,
+            in_sim_package=self.in_sim_package,
+            in_persistence_scope=in_persistence_scope(parts),
         )
         self.np_modules: Set[str] = set()
         self.np_names: Set[str] = set()
@@ -169,6 +389,7 @@ class _Extractor:
         self._collect_stats_sites()
         self._collect_arrays()
         self._collect_odict_attrs()
+        self.facts.raw_writes = _module_level_raw_writes(self.tree)
         return self.facts
 
     # -- imports -----------------------------------------------------------
@@ -306,12 +527,19 @@ class _Extractor:
             child for child in cls.body
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
+        bases = [ref for ref in (self._base_ref(base) for base in cls.bases) if ref]
+        init = next((method for method in methods if method.name == "__init__"), None)
         class_facts = ClassFacts(
             name=cls.name,
             line=cls.lineno,
-            bases=[ref for ref in (self._base_ref(base) for base in cls.bases) if ref],
+            bases=bases,
             methods=[method.name for method in methods],
-            exempt=any(method.name in _EXEMPT_METHODS for method in methods),
+            owns_encoding=any(method.name in _ENCODING_METHODS for method in methods)
+            or any(base[-1] in _ENUM_BASES for base in bases),
+            detaches=any(method.name == "snapshot_detach" for method in methods),
+            init_params=[
+                arg.arg for arg in (init.args.posonlyargs + init.args.args)[1:]
+            ] if init is not None else [],
         )
         self._collect_attr_edges(cls, methods, class_facts)
         self._collect_unsafe(cls, methods, class_facts)
@@ -327,6 +555,20 @@ class _Extractor:
         if len(chain) == 1:
             return ("local", chain[0])
         return ("dotted", *chain)
+
+    def _constructor_refs(
+        self, value: ast.expr, bindings: Optional[Dict[str, List[Ref]]] = None
+    ) -> List[Ref]:
+        """Class refs *value* may construct: a constructor call, either arm
+        of a conditional, or a local name bound to one (via *bindings*)."""
+        if isinstance(value, ast.IfExp):
+            return self._constructor_refs(value.body, bindings) + self._constructor_refs(
+                value.orelse, bindings
+            )
+        if isinstance(value, ast.Name) and bindings is not None:
+            return bindings.get(value.id, [])
+        ref = self._constructor_ref(value)
+        return [ref] if ref is not None and ref[0] != "self" else []
 
     def _constructor_ref(self, value: ast.expr) -> Optional[Ref]:
         """A Ref when *value* may construct a project class instance."""
@@ -344,7 +586,7 @@ class _Extractor:
             return None
         if chain[0] == "self" and len(chain) == 2:
             return ("self", chain[1])  # factory method — resolved via returns_new
-        if chain[-1][:1].isupper():
+        if _is_class_name(chain[-1]):
             if len(chain) == 1:
                 return ("local", chain[0])
             return ("dotted", *chain)
@@ -361,13 +603,18 @@ class _Extractor:
             if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
                 for leaf in _annotation_class_leaves(child.annotation):
                     class_facts.attr_edges.append(
-                        AttrEdge(attr=child.target.id, target=("local", leaf), line=child.lineno)
+                        AttrEdge(attr=child.target.id, target=("declared", leaf), line=child.lineno)
                     )
         for method in methods:
             params = {
                 arg.arg: _annotation_class_leaves(arg.annotation)
-                for arg in list(method.args.posonlyargs) + list(method.args.args)
+                for arg in (
+                    method.args.posonlyargs + method.args.args + method.args.kwonlyargs
+                )
             }
+            # Only __init__ parameters are matched to call-site arguments
+            # (CtorArg facts); other methods' callers are not resolved.
+            stored_params = params if method.name == "__init__" else {}
             for node in ast.walk(method):
                 if isinstance(node, ast.AnnAssign):
                     target = node.target
@@ -378,18 +625,27 @@ class _Extractor:
                     ):
                         for leaf in _annotation_class_leaves(node.annotation):
                             class_facts.attr_edges.append(
-                                AttrEdge(attr=target.attr, target=("local", leaf), line=node.lineno)
+                                AttrEdge(attr=target.attr, target=("declared", leaf), line=node.lineno)
                             )
                         if node.value is not None:
-                            self._value_edges(target.attr, node.value, params, class_facts, node)
+                            self._value_edges(
+                                target.attr, node.value, params, stored_params,
+                                class_facts, node,
+                            )
                 elif isinstance(node, ast.Assign):
                     for target in node.targets:
+                        # self.<attr>[key] = Ctor(...) — keyed container store.
+                        if isinstance(target, ast.Subscript):
+                            target = target.value
                         if (
                             isinstance(target, ast.Attribute)
                             and isinstance(target.value, ast.Name)
                             and target.value.id == "self"
                         ):
-                            self._value_edges(target.attr, node.value, params, class_facts, node)
+                            self._value_edges(
+                                target.attr, node.value, params, stored_params,
+                                class_facts, node,
+                            )
                 elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                     # self.<attr>.append(Ctor(...)) — container population.
                     func = node.func
@@ -411,6 +667,7 @@ class _Extractor:
         attr: str,
         value: ast.expr,
         params: Dict[str, List[str]],
+        stored_params: Dict[str, List[str]],
         class_facts: ClassFacts,
         node: ast.stmt,
     ) -> None:
@@ -430,7 +687,11 @@ class _Extractor:
             elif isinstance(candidate, ast.Name) and candidate.id in params:
                 for leaf in params[candidate.id]:
                     class_facts.attr_edges.append(
-                        AttrEdge(attr=attr, target=("local", leaf), line=node.lineno)
+                        AttrEdge(attr=attr, target=("declared", leaf), line=node.lineno)
+                    )
+                if candidate.id in stored_params:
+                    class_facts.attr_edges.append(
+                        AttrEdge(attr=attr, target=("param", candidate.id), line=node.lineno)
                     )
 
     def _collect_unsafe(
@@ -439,7 +700,7 @@ class _Extractor:
         methods: Sequence[FunctionNode],
         class_facts: ClassFacts,
     ) -> None:
-        if class_facts.exempt:
+        if class_facts.owns_encoding or class_facts.detaches:
             return
         factories = {
             method.name for method in methods if _returns_nested_function(method)
@@ -459,7 +720,7 @@ class _Extractor:
                     _rooted_at_self(target) for target in targets
                 ):
                     continue
-                problem = SnapshotSafetyRule._classify(node.value, local_functions, factories)
+                problem = _classify(node.value, local_functions, factories)
                 if problem is not None:
                     class_facts.unsafe.append(
                         UnsafeAssign(
@@ -547,8 +808,7 @@ class _Extractor:
 
     def _collect_function(self, func: FunctionNode, class_name: Optional[str]) -> None:
         qualname = f"{class_name}.{func.name}" if class_name else func.name
-        source_lines = self.lines
-        hot = _marked_hot_lines(source_lines, func)
+        hot = _marked_hot(self.lines, func)
         env = TaintEnv(
             source_of=self._source_of,
             launders=self._launders,
@@ -560,6 +820,9 @@ class _Extractor:
         calls: List[Tuple[Ref, int, int]] = []
         returns_new: List[Ref] = []
         raw_writes: List[RawWrite] = []
+        constructions: List[Tuple[Ref, ast.Call]] = []
+        #: Local name -> class refs it may be bound to (flow-insensitive).
+        bindings: Dict[str, List[Ref]] = {}
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
                 ref = self._callee_ref(node)
@@ -570,10 +833,28 @@ class _Extractor:
                     raw_writes.append(
                         RawWrite(write, node.lineno, node.col_offset)
                     )
+                ctor = self._constructor_ref(node)
+                if ctor is not None and ctor[0] != "self" and (node.args or node.keywords):
+                    constructions.append((ctor, node))
             elif isinstance(node, ast.Return) and node.value is not None:
                 ctor = self._constructor_ref(node.value)
                 if ctor is not None:
                     returns_new.append(ctor)
+            elif (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                refs = self._constructor_refs(node.value)
+                if refs:
+                    bindings.setdefault(node.targets[0].id, []).extend(refs)
+        ctor_args = [
+            CtorArg(callee=ctor, param=param, value=value)
+            for ctor, call in constructions
+            for param, arg in [(str(i), a) for i, a in enumerate(call.args)]
+            + [(kw.arg, kw.value) for kw in call.keywords if kw.arg is not None]
+            for value in self._constructor_refs(arg, bindings)
+        ]
         self.facts.functions[qualname] = FunctionFacts(
             qualname=qualname,
             line=func.lineno,
@@ -583,6 +864,7 @@ class _Extractor:
             returns_new=returns_new,
             return_annotation=_annotation_class_leaves(func.returns),
             raw_writes=raw_writes,
+            ctor_args=ctor_args,
         )
         if hot:
             self._collect_numpy_events(func, qualname)
@@ -671,6 +953,17 @@ class _Extractor:
                 self.facts.stats_records.append(
                     KeySite(key=prefix, line=call.lineno, col=call.col_offset, kind="pattern")
                 )
+        elif isinstance(key_node, ast.Attribute) and key_node.attr.startswith("_key_"):
+            # Precomputed once at construction time: not statically
+            # auditable, but not a per-event key build either.
+            return
+        if self.in_sim_package:
+            self.facts.stats_records.append(
+                KeySite(
+                    key=ast.unparse(key_node), line=call.lineno,
+                    col=call.col_offset, kind="dynamic",
+                )
+            )
 
     def _add_read(self, key: str, node: ast.Call) -> None:
         self.facts.stats_reads.append(
@@ -891,14 +1184,26 @@ def _calls_of(stmt: ast.stmt) -> List[ast.Call]:
     return out
 
 
-def _marked_hot_lines(lines: Sequence[str], func: FunctionNode) -> bool:
-    """``# repro-hot`` directly above the definition (RL005's marker)."""
-
-    class _Shim:
-        def __init__(self, source_lines: Sequence[str]):
-            self.lines = list(source_lines)
-
-    return bool(_marked_hot(_Shim(lines), func))  # type: ignore[arg-type]
+def _module_level_raw_writes(tree: ast.Module) -> List[RawWrite]:
+    """Raw persistent-write call sites outside the functions and methods
+    :meth:`_Extractor._collect_function` records (those keep their own)."""
+    statements: List[ast.stmt] = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            statements.extend(
+                child for child in node.body
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            statements.append(node)
+    out: List[RawWrite] = []
+    for statement in statements:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call):
+                write = classify_raw_write(node)
+                if write is not None:
+                    out.append(RawWrite(write, node.lineno, node.col_offset))
+    return out
 
 
 def extract_module_facts(relpath: str, text: str, tree: ast.Module) -> ModuleFacts:

@@ -1,11 +1,9 @@
-"""Serializable per-file facts — the unit the analysis cache stores.
+"""Per-file facts: the distilled summary of one source file.
 
-The whole-program analyzer never caches ASTs: it caches *facts*, the
-distilled per-file summaries that the cross-module phases (symbol
-resolution, call-graph propagation, rule evaluation) consume.  Facts are
-plain dataclasses with lossless ``to_dict``/``from_dict`` round-trips, so
-an incremental run can skip parsing and extraction for every file whose
-content hash is unchanged (see :mod:`repro.lint.program.cache`).
+The whole-program analyzer parses each file once and extracts *facts*:
+the per-file summaries that the cross-module phases (symbol resolution,
+call-graph propagation, rule evaluation) consume.  Facts are plain
+dataclasses; nothing downstream of extraction looks at an AST.
 
 Everything in here is *local* to one file: imports are recorded as raw
 dotted targets, call sites as unresolved reference descriptors, taint
@@ -17,29 +15,12 @@ those local facts into whole-program conclusions is the job of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-#: Bump when the extraction schema changes; invalidates every cache entry.
-#: 2: snapshot-safety classifier learned sockets/selectors (RL006/RL103).
-#: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (RL104,
-#:    PR-9 array-native streams).
-#: 4: per-function raw persistent-write sites (RL105, PR-10 persist
-#:    discipline).
-FACTS_VERSION = 4
+from typing import Dict, List, Tuple
 
 #: An unresolved reference to a called/constructed symbol, e.g.
 #: ``("local", "Core")``, ``("self", "reset")``, or
 #: ``("dotted", "np", "zeros")``.  Resolution happens in the model phase.
 Ref = Tuple[str, ...]
-
-
-def _refs_to_json(refs: List[Ref]) -> List[List[str]]:
-    return [list(ref) for ref in refs]
-
-
-def _refs_from_json(raw: List[List[str]]) -> List[Ref]:
-    return [tuple(item) for item in raw]
-
 
 @dataclass
 class KeySite:
@@ -48,15 +29,10 @@ class KeySite:
     key: str
     line: int
     col: int
-    #: "literal" | "table" | "var" | "const" | "pattern" (f-string prefix).
+    #: "literal" | "table" | "var" | "pattern" (f-string prefix) |
+    #: "dynamic" (a record key no static resolution covers, in a
+    #: simulation package; ``key`` holds the key expression's source).
     kind: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"key": self.key, "line": self.line, "col": self.col, "kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "KeySite":
-        return cls(str(raw["key"]), int(raw["line"]), int(raw["col"]), str(raw["kind"]))
 
 
 @dataclass
@@ -69,13 +45,6 @@ class SinkSite:
     detail: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "detail": self.detail, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "SinkSite":
-        return cls(str(raw["kind"]), str(raw["detail"]), int(raw["line"]), int(raw["col"]))
 
 
 @dataclass
@@ -97,38 +66,33 @@ class TaintFlow:
     #: Human-readable description of the tainted value's origin.
     origin: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "src": list(self.src),
-            "dst": list(self.dst),
-            "line": self.line,
-            "col": self.col,
-            "origin": self.origin,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "TaintFlow":
-        return cls(
-            tuple(raw["src"]), tuple(raw["dst"]),
-            int(raw["line"]), int(raw["col"]), str(raw["origin"]),
-        )
-
 
 @dataclass
 class RawWrite:
-    """One raw persistent-write call site inside a function (RL105)."""
+    """One raw persistent-write call site (RL105)."""
 
-    #: The RL007 classifier's description, e.g. ``open(..., "w")``.
+    #: :func:`~repro.lint.program.extract.classify_raw_write`'s
+    #: description, e.g. ``open(..., "w")``.
     detail: str
     line: int
     col: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"detail": self.detail, "line": self.line, "col": self.col}
 
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "RawWrite":
-        return cls(str(raw["detail"]), int(raw["line"]), int(raw["col"]))
+@dataclass
+class CtorArg:
+    """A class instance passed into a constructor call: ``C(p=X(...))``.
+
+    Paired with ``("param", name)`` attribute edges of ``C`` (an
+    ``__init__`` parameter stored on ``self``), this lets checkpoint
+    reachability follow objects a caller builds and hands in.
+    """
+
+    #: The constructor reference (``C`` above).
+    callee: Ref
+    #: The keyword name, or the positional index as a decimal string.
+    param: str
+    #: The class reference of the passed value (``X`` above).
+    value: Ref
 
 
 @dataclass
@@ -147,33 +111,10 @@ class FunctionFacts:
     returns_new: List[Ref] = field(default_factory=list)
     #: The declared return annotation's class-name leaves, if any.
     return_annotation: List[str] = field(default_factory=list)
-    #: Raw persistent-write sites (RL007's classifier, recorded for RL105).
+    #: Raw persistent-write sites, nested functions included (RL105).
     raw_writes: List[RawWrite] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "calls": [[list(ref), line, col] for ref, line, col in self.calls],
-            "flows": [flow.to_dict() for flow in self.flows],
-            "hot": self.hot,
-            "returns_new": _refs_to_json(self.returns_new),
-            "return_annotation": list(self.return_annotation),
-            "raw_writes": [site.to_dict() for site in self.raw_writes],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "FunctionFacts":
-        return cls(
-            qualname=str(raw["qualname"]),
-            line=int(raw["line"]),
-            calls=[(tuple(ref), int(line), int(col)) for ref, line, col in raw["calls"]],
-            flows=[TaintFlow.from_dict(flow) for flow in raw["flows"]],
-            hot=bool(raw["hot"]),
-            returns_new=_refs_from_json(raw["returns_new"]),
-            return_annotation=[str(name) for name in raw["return_annotation"]],
-            raw_writes=[RawWrite.from_dict(site) for site in raw["raw_writes"]],
-        )
+    #: Project-class instances passed to constructor calls (RL103).
+    ctor_args: List[CtorArg] = field(default_factory=list)
 
 
 @dataclass
@@ -181,37 +122,23 @@ class AttrEdge:
     """One reason a class attribute may hold an instance of another class."""
 
     attr: str
-    #: The unresolved class reference (constructor call, annotation leaf,
-    #: container element, class-table value, or factory method name).
+    #: The unresolved class reference (constructor call, container
+    #: element, class-table value, factory method name,
+    #: ``("declared", name)`` for an annotation leaf — the class or any
+    #: subclass — or ``("param", name)`` for an ``__init__`` parameter
+    #: stored on self).
     target: Ref
     line: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"attr": self.attr, "target": list(self.target), "line": self.line}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "AttrEdge":
-        return cls(str(raw["attr"]), tuple(raw["target"]), int(raw["line"]))
 
 
 @dataclass
 class UnsafeAssign:
-    """An RL006-style snapshot-unsafe ``self.<attr> = ...`` assignment."""
+    """A snapshot-unsafe ``self.<attr> = ...`` assignment (RL103)."""
 
     method: str
     problem: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "method": self.method, "problem": self.problem,
-            "line": self.line, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "UnsafeAssign":
-        return cls(str(raw["method"]), str(raw["problem"]), int(raw["line"]), int(raw["col"]))
 
 
 @dataclass
@@ -226,31 +153,16 @@ class ClassFacts:
     attr_edges: List[AttrEdge] = field(default_factory=list)
     #: Snapshot-unsafe assignments (empty for safe classes).
     unsafe: List[UnsafeAssign] = field(default_factory=list)
-    #: Defines __getstate__/__reduce__/__reduce_ex__/snapshot_detach.
-    exempt: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": _refs_to_json(self.bases),
-            "methods": list(self.methods),
-            "attr_edges": [edge.to_dict() for edge in self.attr_edges],
-            "unsafe": [entry.to_dict() for entry in self.unsafe],
-            "exempt": self.exempt,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ClassFacts":
-        return cls(
-            name=str(raw["name"]),
-            line=int(raw["line"]),
-            bases=_refs_from_json(raw["bases"]),
-            methods=[str(name) for name in raw["methods"]],
-            attr_edges=[AttrEdge.from_dict(edge) for edge in raw["attr_edges"]],
-            unsafe=[UnsafeAssign.from_dict(entry) for entry in raw["unsafe"]],
-            exempt=bool(raw["exempt"]),
-        )
+    #: Defines __getstate__/__reduce__/__reduce_ex__, or is an ``enum``
+    #: class (members pickle by name): it owns its snapshot encoding, so
+    #: checkpoint reachability stops here.
+    owns_encoding: bool = False
+    #: Defines ``snapshot_detach``: the hooks it strips around a
+    #: checkpoint write are not flagged, but the rest of its state is
+    #: pickled, so checkpoint reachability goes on through it.
+    detaches: bool = False
+    #: Positional ``__init__`` parameter names, ``self`` excluded.
+    init_params: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -265,19 +177,6 @@ class ArrayFact:
     explicit: bool
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target": self.target, "dtype": self.dtype,
-            "explicit": self.explicit, "line": self.line, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ArrayFact":
-        return cls(
-            str(raw["target"]), str(raw["dtype"]),
-            bool(raw["explicit"]), int(raw["line"]), int(raw["col"]),
-        )
 
 
 @dataclass
@@ -300,19 +199,6 @@ class NumpyEvent:
     detail: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "function": self.function, "target": self.target,
-            "detail": self.detail, "line": self.line, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "NumpyEvent":
-        return cls(
-            str(raw["kind"]), str(raw["function"]), str(raw["target"]),
-            str(raw["detail"]), int(raw["line"]), int(raw["col"]),
-        )
 
 
 @dataclass
@@ -343,52 +229,10 @@ class ModuleFacts:
     odict_attrs: List[str] = field(default_factory=list)
     #: Relpath segments place the file inside the simulation packages.
     in_sim_package: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": FACTS_VERSION,
-            "relpath": self.relpath,
-            "module": self.module,
-            "imports": dict(self.imports),
-            "constants": dict(self.constants),
-            "key_tables": {name: list(keys) for name, keys in self.key_tables.items()},
-            "class_tables": {name: list(vals) for name, vals in self.class_tables.items()},
-            "classes": {name: cls.to_dict() for name, cls in self.classes.items()},
-            "functions": {name: fn.to_dict() for name, fn in self.functions.items()},
-            "stats_records": [site.to_dict() for site in self.stats_records],
-            "stats_reads": [site.to_dict() for site in self.stats_reads],
-            "codec_registered": list(self.codec_registered),
-            "arrays": [fact.to_dict() for fact in self.arrays],
-            "numpy_events": [event.to_dict() for event in self.numpy_events],
-            "odict_attrs": list(self.odict_attrs),
-            "in_sim_package": self.in_sim_package,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> Optional["ModuleFacts"]:
-        """Rebuild facts from a cache entry; None on schema mismatch."""
-        if raw.get("version") != FACTS_VERSION:
-            return None
-        return cls(
-            relpath=str(raw["relpath"]),
-            module=str(raw["module"]),
-            imports={str(k): str(v) for k, v in raw["imports"].items()},
-            constants={str(k): str(v) for k, v in raw["constants"].items()},
-            key_tables={str(k): [str(x) for x in v] for k, v in raw["key_tables"].items()},
-            class_tables={str(k): [str(x) for x in v] for k, v in raw["class_tables"].items()},
-            classes={
-                str(name): ClassFacts.from_dict(sub)
-                for name, sub in raw["classes"].items()
-            },
-            functions={
-                str(name): FunctionFacts.from_dict(sub)
-                for name, sub in raw["functions"].items()
-            },
-            stats_records=[KeySite.from_dict(site) for site in raw["stats_records"]],
-            stats_reads=[KeySite.from_dict(site) for site in raw["stats_reads"]],
-            codec_registered=[str(name) for name in raw["codec_registered"]],
-            arrays=[ArrayFact.from_dict(fact) for fact in raw["arrays"]],
-            numpy_events=[NumpyEvent.from_dict(event) for event in raw["numpy_events"]],
-            odict_attrs=[str(name) for name in raw["odict_attrs"]],
-            in_sim_package=bool(raw["in_sim_package"]),
-        )
+    #: Relpath segments place the file inside the persistence-owning
+    #: packages (see :func:`~repro.lint.program.extract.in_persistence_scope`).
+    in_persistence_scope: bool = False
+    #: Raw persistent-write sites outside every function in
+    #: ``functions`` (module body, class bodies), so each write is
+    #: recorded exactly once: here or in its function's ``raw_writes``.
+    raw_writes: List[RawWrite] = field(default_factory=list)

@@ -1,8 +1,7 @@
 """Whole-program composition: facts → symbol table → fixpoints.
 
-:func:`build_program_model` turns the per-file facts (extracted fresh or
-served from the content-hash cache) into the cross-module conclusions
-the RL1xx rules consume:
+:func:`build_program_model` turns the per-file facts into the
+cross-module conclusions the RL1xx rules consume:
 
 * aggregated stats-key record/read sites (RL101 liveness);
 * an interprocedural taint fixpoint over the call graph — which
@@ -12,9 +11,8 @@ the RL1xx rules consume:
   attribute path that witnesses each class's reachability (RL103);
 * numpy array allocations grouped by ``Class.attr`` target (RL104).
 
-Propagation runs from scratch every time — it is linear-ish in the size
-of the facts and takes milliseconds; only parsing + extraction is worth
-caching.
+Propagation is linear-ish in the size of the facts and takes
+milliseconds; parsing and extraction dominate a run.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.program.cache import AnalysisCache
 from repro.lint.program.callgraph import CallGraph
 from repro.lint.program.extract import extract_module_facts
 from repro.lint.program.facts import ArrayFact, KeySite, ModuleFacts, Ref
@@ -75,6 +72,8 @@ class ProgramModel:
         self.read: Dict[str, List[Tuple[str, KeySite]]] = {}
         #: f-string record prefixes: [(prefix, relpath, site)].
         self.record_patterns: List[Tuple[str, str, KeySite]] = []
+        #: simulation-package record sites with unresolvable keys.
+        self.dynamic_records: List[Tuple[str, KeySite]] = []
         #: function symbol -> nondeterminism sources its return may carry.
         self.ret_sources: Dict[SymbolId, FrozenSet[str]] = {}
         #: function symbol -> param index -> sink witnesses.
@@ -83,25 +82,28 @@ class ProgramModel:
         #: checkpoint-reachable class symbol -> human attribute chain.
         self.reachable: Dict[SymbolId, str] = {}
         self.root_symbols: List[SymbolId] = []
-        #: codec-registered class symbols/bare names (snapshot-handled).
+        #: codec-registered class symbols/bare names (they own their encoding).
         self.codec_symbols: Set[SymbolId] = set()
         self.codec_names: Set[str] = set()
         #: "Class.attr" -> [(relpath, fact)] numpy allocations.
         self.arrays_by_target: Dict[str, List[Tuple[str, ArrayFact]]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: (class defining __init__, param name) -> [(module, class ref)]
+        #: of instances passed for that parameter at any constructor call.
+        self.param_values: Dict[Tuple[SymbolId, str], List[Tuple[str, Ref]]] = {}
+        #: class symbol -> project classes that name it as a direct base.
+        self.subclasses: Dict[SymbolId, List[SymbolId]] = {}
 
     # -- convenience -------------------------------------------------------
     def relpath_of(self, symbol: SymbolId) -> Optional[str]:
         facts = self.table.modules.get(symbol.partition(":")[0])
         return facts.relpath if facts is not None else None
 
-    def class_is_snapshot_handled(self, symbol: SymbolId) -> bool:
-        """Exempt (defines its own pickling hooks) or codec-registered."""
+    def class_owns_encoding(self, symbol: SymbolId) -> bool:
+        """Defines its own pickling hooks, is an enum, or is codec-registered."""
         cls = self.table.class_named(symbol)
         if cls is None:
             return True
-        if cls.exempt or symbol in self.codec_symbols:
+        if cls.owns_encoding or symbol in self.codec_symbols:
             return True
         return cls.name in self.codec_names
 
@@ -131,34 +133,9 @@ def _scan_program_files(
     return out
 
 
-def _facts_for(
-    relpath: str,
-    text: str,
-    tree: Optional[ast.Module],
-    cache: Optional[AnalysisCache],
-    model: ProgramModel,
-) -> Optional[ModuleFacts]:
-    if cache is not None:
-        cached = cache.get(relpath, text)
-        if cached is not None:
-            model.cache_hits += 1
-            return cached
-    if tree is None:
-        try:
-            tree = ast.parse(text, filename=relpath)
-        except SyntaxError:
-            return None
-    model.cache_misses += 1
-    facts = extract_module_facts(relpath, text, tree)
-    if cache is not None:
-        cache.put(relpath, text, facts)
-    return facts
-
-
 def build_program_model(
     root: Path,
     sources: Sequence[object],
-    cache: Optional[AnalysisCache] = None,
     root_classes: Sequence[str] = DEFAULT_ROOT_CLASSES,
 ) -> ProgramModel:
     """Build the whole-program model.
@@ -169,35 +146,29 @@ def build_program_model(
     set are scanned in too, so a partial lint still reasons against the
     full program.
     """
-    placeholder = ProgramModel(SymbolTable([]), CallGraph(SymbolTable([])))
     all_facts: List[ModuleFacts] = []
     known: Set[str] = set()
     for source in sources:
         relpath = getattr(source, "relpath")
         known.add(relpath)
-        facts = _facts_for(
-            relpath, getattr(source, "text"), getattr(source, "tree"), cache, placeholder
+        all_facts.append(
+            extract_module_facts(relpath, getattr(source, "text"), getattr(source, "tree"))
         )
-        if facts is not None:
-            all_facts.append(facts)
     for relpath, path in _scan_program_files(root, [root / "src" / "repro"], known):
         try:
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
+            tree = ast.parse(text, filename=relpath)
+        except (OSError, UnicodeDecodeError, SyntaxError):
             continue
-        facts = _facts_for(relpath, text, None, cache, placeholder)
-        if facts is not None:
-            all_facts.append(facts)
-    if cache is not None:
-        cache.save()
+        all_facts.append(extract_module_facts(relpath, text, tree))
 
     table = SymbolTable(all_facts)
     model = ProgramModel(table, CallGraph(table))
-    model.cache_hits = placeholder.cache_hits
-    model.cache_misses = placeholder.cache_misses
     _aggregate_stats(model)
     _aggregate_arrays(model)
     _collect_codec_registrations(model)
+    _collect_param_values(model)
+    _collect_subclasses(model)
     _run_taint_fixpoint(model)
     _collect_taint_findings(model)
     _compute_reachability(model, root_classes)
@@ -212,6 +183,8 @@ def _aggregate_stats(model: ProgramModel) -> None:
         for site in facts.stats_records:
             if site.kind == "pattern":
                 model.record_patterns.append((site.key, facts.relpath, site))
+            elif site.kind == "dynamic":
+                model.dynamic_records.append((facts.relpath, site))
             else:
                 model.recorded.setdefault(site.key, []).append((facts.relpath, site))
         for site in facts.stats_reads:
@@ -233,6 +206,38 @@ def _collect_codec_registrations(model: ProgramModel) -> None:
             symbol = model.table.resolve_class(module, ("local", name))
             if symbol is not None:
                 model.codec_symbols.add(symbol)
+
+
+def _collect_param_values(model: ProgramModel) -> None:
+    """Route every constructor-call argument to the ``__init__`` parameter
+    it binds, keyed by the class that defines that ``__init__``."""
+    table = model.table
+    for module, facts in table.modules.items():
+        for fn in facts.functions.values():
+            for arg in fn.ctor_args:
+                for cls_symbol in _resolve_classes(model, module, arg.callee):
+                    init = table.method_of(cls_symbol, "__init__")
+                    if init is None:
+                        continue
+                    owner = init.rpartition(".")[0]
+                    params = table.classes[owner][1].init_params
+                    param = arg.param
+                    if param.isdigit():
+                        if int(param) >= len(params):
+                            continue
+                        param = params[int(param)]
+                    model.param_values.setdefault((owner, param), []).append(
+                        (module, arg.value)
+                    )
+
+
+def _collect_subclasses(model: ProgramModel) -> None:
+    table = model.table
+    for symbol, (module, cls) in sorted(table.classes.items()):
+        for base in cls.bases:
+            resolved = table.resolve_class(module, base)
+            if resolved is not None:
+                model.subclasses.setdefault(resolved, []).append(symbol)
 
 
 # -- taint fixpoint ---------------------------------------------------------
@@ -364,10 +369,8 @@ def _collect_taint_findings(model: ProgramModel) -> None:
 # -- checkpoint reachability ------------------------------------------------
 
 
-def _class_edge_targets(
-    model: ProgramModel, module: str, cls_symbol: SymbolId, target: Ref
-) -> List[SymbolId]:
-    """Resolve one attr-edge target ref to class symbols."""
+def _resolve_classes(model: ProgramModel, module: str, target: Ref) -> List[SymbolId]:
+    """Resolve a constructor or class-table ref to class symbols."""
     table = model.table
     if target and target[0] == "table" and len(target) == 2:
         name = target[1]
@@ -381,6 +384,38 @@ def _class_edge_targets(
             owner, _, table_name = dotted.rpartition(".")
             return table.class_table_targets(owner, table_name)
         return []
+    resolved = table.resolve_class(module, target)
+    return [resolved] if resolved is not None else []
+
+
+def _declared_classes(model: ProgramModel, module: str, leaf: str) -> List[SymbolId]:
+    """An annotation leaf's class and, transitively, every project subclass:
+    a declared type admits any instance derived from it."""
+    resolved = model.table.resolve_class(module, ("local", leaf))
+    out: List[SymbolId] = []
+    pending = [resolved] if resolved is not None else []
+    while pending:
+        symbol = pending.pop(0)
+        if symbol not in out:
+            out.append(symbol)
+            pending.extend(model.subclasses.get(symbol, []))
+    return out
+
+
+def _class_edge_targets(
+    model: ProgramModel, module: str, cls_symbol: SymbolId, target: Ref
+) -> List[SymbolId]:
+    """Resolve one attr-edge target ref to class symbols."""
+    table = model.table
+    if target and target[0] == "declared" and len(target) == 2:
+        return _declared_classes(model, module, target[1])
+    if target and target[0] == "param" and len(target) == 2:
+        # An __init__ parameter stored on self: whatever any caller passes.
+        return [
+            symbol
+            for value_module, value in model.param_values.get((cls_symbol, target[1]), [])
+            for symbol in _resolve_classes(model, value_module, value)
+        ]
     if target and target[0] == "self" and len(target) == 2:
         # A factory method: follow what it constructs/annotates.
         method_symbol = table.method_of(cls_symbol, target[1])
@@ -394,12 +429,9 @@ def _class_edge_targets(
         for ref in fn.returns_new:
             out.extend(_class_edge_targets(model, method_module, cls_symbol, ref))
         for leaf in fn.return_annotation:
-            resolved = table.resolve_class(method_module, ("local", leaf))
-            if resolved is not None:
-                out.append(resolved)
+            out.extend(_declared_classes(model, method_module, leaf))
         return out
-    resolved = table.resolve_class(module, target)
-    return [resolved] if resolved is not None else []
+    return _resolve_classes(model, module, target)
 
 
 def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> None:
@@ -419,8 +451,8 @@ def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> N
         if symbol in model.reachable:
             continue
         model.reachable[symbol] = via
-        if model.class_is_snapshot_handled(symbol) and symbol not in roots:
-            continue  # exempt/codec classes own their snapshot encoding
+        if model.class_owns_encoding(symbol) and symbol not in roots:
+            continue  # pickled through its own hooks, not its attributes
         # Attribute edges of the class and its project-local ancestors.
         ancestry: List[SymbolId] = []
         pending = [symbol]

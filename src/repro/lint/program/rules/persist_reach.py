@@ -1,60 +1,92 @@
-"""RL105 — whole-program persist-discipline reach.
+"""RL105 — persist discipline: state files go through ``repro.persist``.
 
-RL007 flags raw state-file writes *inside* the persistence-owning
-packages (``snapshot``, ``sweepd``, ``experiments``, ``bench.py``).  The
-obvious way to defeat it is laundering: move the ``open(path, "w")``
-into a helper module outside those packages and call it from the
-persistence code.  The per-file rule cannot see across that module
-boundary; this rule can.
+Every durable write — checkpoints, sweep manifests, result/cache files,
+bench documents — goes through :mod:`repro.persist`, which supplies the
+same-directory temp + fsync + ``os.replace`` atomicity, the embedded
+checksum stamp that makes torn writes and bit-rot detectable, the typed
+:class:`~repro.common.errors.PersistError` hierarchy, and the
+storage-fault injection hook the chaos harness depends on.  A raw
+``open(path, "w")`` / ``json.dump`` / ``pickle.dump`` /
+``Path.write_text`` in the persistence-owning packages (``snapshot``,
+``sweepd``, ``experiments``, plus ``bench.py``) silently opts the file
+out of all four: it can tear under SIGKILL, ``repro fsck`` cannot verify
+it, and the crash-consistency tests never exercise it.
 
-Using the per-function raw-write facts (recorded by the shared RL007
-classifier during extraction) and the resolved call graph, it flags
-every call edge whose caller lives in the persistence scope and whose
-callee — directly or transitively through further out-of-scope helpers
-— performs a raw write.  The finding anchors at the *call site* in the
-scoped file (where the fix belongs, and where a pragma can be placed)
-and names the write it reaches as a witness.
+The rule flags two shapes, using the raw-write facts recorded during
+extraction (:func:`~repro.lint.program.extract.classify_raw_write`) and
+the resolved call graph:
 
-``repro.persist`` itself is exempt: its guts are the one place raw
-``open`` calls are supposed to live — that module *is* the discipline.
+* a raw write **directly** in a persistence-scope file, anchored at the
+  write;
+* a write **laundered** through helpers outside the scope: every call
+  edge whose caller lives in the scope and whose callee — directly or
+  transitively through further out-of-scope helpers — performs a raw
+  write.  The finding anchors at the *call site* in the scoped file
+  (where the fix belongs, and where a pragma can be placed) and names
+  the write it reaches as a witness.
+
+Legitimate exceptions (an append-only journal, a hard-link fallback that
+copies an already-stamped file) carry an explicit
+``# repro-lint: disable=RL105`` pragma — the point is that bypassing the
+discipline is visible and justified, not impossible.  ``repro.persist``
+and ``repro.fsck`` themselves are exempt: their guts are the one place
+raw ``open`` calls are supposed to live.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
+from repro.lint.program.facts import RawWrite
 from repro.lint.program.model import ProgramModel
 from repro.lint.program.symbols import SymbolId
-from repro.lint.rules.persist_discipline import in_persistence_scope
 
 #: Modules whose raw writes are the sanctioned implementation of the
 #: discipline, not a bypass of it.
 _EXEMPT_MODULES = frozenset({"repro.persist", "repro.fsck"})
 
+_FIX_HINT = (
+    "route it through repro.persist (write_json/atomic_write_bytes) so the "
+    "file is atomic, checksummed, fault-injectable, and fsck-verifiable "
+    "(docs/FAULTS.md)"
+)
 
-@register_program_rule
+
+@register_rule
 class PersistReachRule(ProgramRule):
-    """RL105: raw writes laundered through out-of-scope helpers."""
+    """RL105: raw state writes in, or reached from, the persistence scope."""
 
     rule_id = "RL105"
     name = "program-persist-reach"
     default_severity = Severity.WARNING
 
     def check(self, model: ProgramModel, ctx: ProjectContext) -> None:
-        scope = self._scoped_modules(model)
+        scope = {
+            module
+            for module, facts in model.table.modules.items()
+            if facts.in_persistence_scope and module not in _EXEMPT_MODULES
+        }
         writer_witness = self._transitive_writers(model, scope)
         emitted: Set[Tuple[str, int, int, SymbolId]] = set()
         for module in sorted(scope):
             facts = model.table.modules[module]
+            direct = list(facts.raw_writes)
+            for fn in facts.functions.values():
+                direct.extend(fn.raw_writes)
+            for write in sorted(direct, key=lambda w: (w.line, w.col)):
+                self.emit_at(
+                    ctx, facts.relpath, write.line, write.col,
+                    f"raw {write.detail} bypasses the persistence layer — the "
+                    f"write can tear under a crash and fsck cannot verify it; "
+                    f"{_FIX_HINT}",
+                )
             for qualname in sorted(facts.functions):
                 symbol = f"{module}:{qualname}"
                 for edge in model.graph.callees_of(symbol):
-                    callee_module = edge.callee.partition(":")[0]
-                    if callee_module in scope:
-                        continue  # RL007 already covers in-scope callees
+                    if edge.callee.partition(":")[0] in scope:
+                        continue  # flagged at the write itself
                     witness = writer_witness.get(edge.callee)
                     if witness is None:
                         continue
@@ -63,36 +95,28 @@ class PersistReachRule(ProgramRule):
                         continue
                     emitted.add(key)
                     writer_symbol, write = witness
-                    location = self._describe(model, writer_symbol, write)
+                    where = model.relpath_of(writer_symbol) or writer_symbol.partition(":")[0]
                     self.emit_at(
                         ctx, facts.relpath, edge.line, edge.col,
                         f"{qualname} calls {edge.callee}, which reaches a raw "
-                        f"{write.detail} at {location} — a state write "
-                        f"laundered outside the persistence packages; route "
-                        f"it through repro.persist (docs/FAULTS.md)",
+                        f"{write.detail} at {where}:{write.line} — a state "
+                        f"write laundered outside the persistence packages; "
+                        f"route it through repro.persist (docs/FAULTS.md)",
                     )
-
-    # -- helpers -----------------------------------------------------------
-    @staticmethod
-    def _scoped_modules(model: ProgramModel) -> Set[str]:
-        return {
-            module
-            for module, facts in model.table.modules.items()
-            if in_persistence_scope(Path(facts.relpath).parts)
-        }
 
     @staticmethod
     def _transitive_writers(
         model: ProgramModel, scope: Set[str]
-    ) -> Dict[SymbolId, Tuple[SymbolId, object]]:
+    ) -> Dict[SymbolId, Tuple[SymbolId, RawWrite]]:
         """Out-of-scope function -> (writing symbol, RawWrite) witness.
 
         A function is a transitive writer when it, or any out-of-scope
         function it can reach through the call graph, records a raw
         write.  Scoped and exempt modules stop the propagation: their
-        writes are RL007's (or the persistence layer's own) business.
+        writes are flagged where they happen (or are the persistence
+        layer's own business).
         """
-        out: Dict[SymbolId, Tuple[SymbolId, object]] = {}
+        out: Dict[SymbolId, Tuple[SymbolId, RawWrite]] = {}
         eligible: List[SymbolId] = []
         for module, facts in model.table.modules.items():
             if module in scope or module in _EXEMPT_MODULES:
@@ -116,11 +140,3 @@ class PersistReachRule(ProgramRule):
                         changed = True
                         break
         return out
-
-    @staticmethod
-    def _describe(
-        model: ProgramModel, writer: SymbolId, write
-    ) -> str:
-        relpath: Optional[str] = model.relpath_of(writer)
-        where = relpath if relpath is not None else writer.partition(":")[0]
-        return f"{where}:{write.line}"

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
 from repro.lint.program.extract import DTYPE_ORDER
 from repro.lint.program.facts import ArrayFact
 from repro.lint.program.model import ProgramModel
@@ -47,7 +47,7 @@ def _width(dtype: str) -> int:
     return DTYPE_ORDER.get(dtype, 0)
 
 
-@register_program_rule
+@register_rule
 class SoaContractRule(ProgramRule):
     """RL104: hot-array dtype/shape discipline across modules."""
 

@@ -1,26 +1,45 @@
-"""RL101 — cross-module stats-key liveness.
+"""RL101 — stats-key discipline over the whole program.
 
-The whole-program replacement for RL002's per-file liveness
-approximation: every record site and every read site in the entire
-program participates, including reads through ``StatsSnapshot`` copies
-and metric dictionaries in the experiments/report layers that RL002's
-``stats``-receiver heuristic cannot see.  A key read anywhere but
-recorded nowhere is a silent zero in a figure (typically a typo'd key
-straddling the sim/report module boundary); a key recorded but read
-nowhere is dead instrumentation weight.
+Every number in the paper's figures flows through
+:class:`repro.common.stats.StatsRegistry` under a slash-separated string
+key.  Every record site and every read site in the entire program
+participates, including reads through ``StatsSnapshot`` copies and metric
+dictionaries in the experiments/report layers.  The rule flags:
+
+* keys **read but recorded nowhere** — a silent zero in a figure
+  (typically a typo'd key straddling the sim/report module boundary),
+  with a did-you-mean suggestion;
+* **near-duplicate** recorded keys (edit distance 1, ignoring pairs that
+  differ only in a digit such as ``l1``/``l2``) — a typo splitting one
+  counter into two;
+* record sites in the simulation packages whose key no static resolution
+  covers (an f-string or an arbitrary expression).  The blessed
+  alternatives are a string literal, a module-level **literal-key table**
+  indexed at the record site (``stats.add(_SERVICED_KEYS[kind])``), or a
+  key precomputed once in ``__init__`` into a ``self._key_*`` attribute;
+* keys **recorded but never read** (informational) — dead
+  instrumentation weight, surfaced only via the raw dump.
 """
 
 from __future__ import annotations
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
+from repro.lint.program.extract import _edit_distance
 from repro.lint.program.model import ProgramModel
-from repro.lint.rules.stats_keys import _edit_distance
 
 
-@register_program_rule
+def _digit_only_difference(a: str, b: str) -> bool:
+    """True if *a* and *b* differ in exactly one position, digit vs digit."""
+    if len(a) != len(b):
+        return False
+    diffs = [(ca, cb) for ca, cb in zip(a, b) if ca != cb]
+    return len(diffs) == 1 and diffs[0][0].isdigit() and diffs[0][1].isdigit()
+
+
+@register_rule
 class StatsLivenessRule(ProgramRule):
-    """RL101: record/read liveness over the whole program's key space."""
+    """RL101: static auditing of the whole program's stats-key space."""
 
     rule_id = "RL101"
     name = "program-stats-liveness"
@@ -28,6 +47,8 @@ class StatsLivenessRule(ProgramRule):
 
     def check(self, model: ProgramModel, ctx: ProjectContext) -> None:
         self._reads_without_records(model, ctx)
+        self._near_duplicates(model, ctx)
+        self._dynamic_records(model, ctx)
         self._records_without_reads(model, ctx)
 
     @staticmethod
@@ -52,6 +73,37 @@ class StatsLivenessRule(ProgramRule):
                     f"the program — the consumer silently sees zero"
                     f"{self._nearest(model, key)}",
                 )
+
+    def _near_duplicates(self, model: ProgramModel, ctx: ProjectContext) -> None:
+        keys = sorted(model.recorded)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                if _digit_only_difference(a, b):
+                    continue
+                if _edit_distance(a, b, limit=1) == 1:
+                    relpath, site = model.recorded[b][0]
+                    self.emit_at(
+                        ctx, relpath, site.line, site.col,
+                        f'recorded stats keys "{a}" and "{b}" differ by one '
+                        "character — likely a typo splitting one counter "
+                        "into two",
+                    )
+
+    def _dynamic_records(self, model: ProgramModel, ctx: ProjectContext) -> None:
+        for relpath, site in model.dynamic_records:
+            if site.key.startswith(("f'", 'f"')):
+                problem = (
+                    "f-string stats key on a simulation path: the key set "
+                    "cannot be audited statically and the f-string is built "
+                    "per event; prefer a precomputed literal-key table"
+                )
+            else:
+                problem = (
+                    f"non-literal stats key {site.key} on a simulation path: "
+                    "dynamic keys defeat static key auditing; use a string "
+                    "literal or a literal-key table"
+                )
+            self.emit_at(ctx, relpath, site.line, site.col, problem)
 
     def _records_without_reads(self, model: ProgramModel, ctx: ProjectContext) -> None:
         for key in sorted(model.recorded):

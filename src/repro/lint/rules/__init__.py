@@ -1,21 +1,15 @@
-"""Rule registry: importing this package registers every built-in rule."""
+"""Per-file rule set: importing this package registers every AST rule."""
 
 from repro.lint.rules import (
     config_liveness,
     determinism,
     hot_path,
-    persist_discipline,
-    snapshot_safety,
-    stats_keys,
     units,
 )
 
 __all__ = [
     "determinism",
-    "stats_keys",
     "config_liveness",
     "units",
     "hot_path",
-    "snapshot_safety",
-    "persist_discipline",
 ]

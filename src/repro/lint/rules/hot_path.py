@@ -13,7 +13,7 @@ holds them to the discipline the PR-4 optimization pass established:
   flags constructing one inside a hot function;
 * **no dynamically-built stats keys** — an f-string / concatenated /
   ``.format``-ed key passed to a stats record method costs a string build
-  per event and defeats RL002's static key auditing.  Hot functions use
+  per event and defeats RL101's static key auditing.  Hot functions use
   string literals, literal-key tables, or handles pre-resolved via
   ``stats.counter(...)`` / ``stats.observer(...)`` at construction time;
 * **no per-element Python loops over numpy arrays** (PR-6 batch kernels) —
@@ -36,14 +36,13 @@ holds them to the discipline the PR-4 optimization pass established:
   dispatch — the cost :func:`chunks_from_blocks` exists to amortize away.
 
 The marker is an explicit opt-in, so the rule applies wherever it appears
-(including ``common/`` and ``workloads/``, outside the RL001/RL002
+(including ``common/`` and ``workloads/``, outside the RL001/RL101
 simulation-package scope).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.lint.engine import (
@@ -52,12 +51,12 @@ from repro.lint.engine import (
     SourceFile,
     register_rule,
 )
-
-_HOT_MARKER = re.compile(r"^\s*#\s*repro-hot\b")
-
-#: Stats record methods whose key argument must be static (mirrors RL002).
-_RECORD_METHODS = ("add", "observe", "counter", "observer")
-_STATS_NAMES = ("stats",)
+from repro.lint.program.extract import (
+    _RECORD_METHODS,
+    _is_stats_receiver,
+    _marked_hot,
+    _numpy_aliases,
+)
 
 _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -67,14 +66,6 @@ _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 #: unrelated code (scalar counters named ``writes`` are ints, not
 #: iterables, and never appear as a ``for`` target).
 _CHUNK_COLUMNS = ("vaddrs", "writes", "instr")
-
-
-def _is_stats_receiver(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in _STATS_NAMES
-    if isinstance(node, ast.Attribute):
-        return node.attr in _STATS_NAMES
-    return False
 
 
 def _is_dataclass_decorator(node: ast.AST) -> bool:
@@ -107,27 +98,6 @@ def _is_dynamic_string(node: ast.AST) -> bool:
     return False
 
 
-def _numpy_aliases(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
-    """Return (module aliases, directly-imported constructor names).
-
-    ``import numpy as np`` yields ``{"np"}``; ``from numpy import zeros``
-    yields ``{"zeros"}`` in the second set.  Guarded imports (inside
-    ``try:``) are found too — ``ast.walk`` sees through the Try block.
-    """
-    modules: Set[str] = set()
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy" or alias.name.startswith("numpy."):
-                    modules.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "numpy":
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-    return modules, names
-
-
 def _call_root(node: ast.AST) -> Optional[ast.Name]:
     """The base Name of a (possibly dotted) call target, or None."""
     while isinstance(node, ast.Attribute):
@@ -145,17 +115,6 @@ def _is_numpy_call(
         return node.func.id in names
     root = _call_root(node.func)
     return root is not None and root.id in modules
-
-
-def _marked_hot(source: SourceFile, node: _FunctionDef) -> bool:
-    """True when ``# repro-hot`` sits directly above the def/decorators."""
-    start = node.lineno
-    for decorator in node.decorator_list:
-        start = min(start, decorator.lineno)
-    above = start - 2  # 0-indexed line above the first def/decorator line
-    return 0 <= above < len(source.lines) and bool(
-        _HOT_MARKER.match(source.lines[above])
-    )
 
 
 @register_rule
@@ -188,7 +147,7 @@ class HotPathRule(Rule):
             ):
                 self.dataclasses.setdefault(node.name, source.relpath)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _marked_hot(source, node):
+                if _marked_hot(source.lines, node):
                     self.hot_functions.append((source, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and (
                 modules or names

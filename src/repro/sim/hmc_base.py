@@ -17,7 +17,7 @@ accounting that the paper's figures are built from —
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import SystemConfig
@@ -38,7 +38,7 @@ class RequestKind(enum.Enum):
 
 
 #: Literal stats-key tables: these run once per serviced request, and the
-#: closed key set keeps the namespace auditable by the RL002 lint rule.
+#: closed key set keeps the namespace auditable by the RL101 lint rule.
 _SERVICED_KEYS = {
     "dram": "hmc/serviced_dram",
     "nvm": "hmc/serviced_nvm",
@@ -121,7 +121,7 @@ class HmcBase:
         self._count_serviced = {
             source: stats.counter(_SERVICED_KEYS[source]) for source in _SERVICED_KEYS
         }
-        self._count_kind = {
+        self._count_kind: Dict[RequestKind, Callable[..., None]] = {
             kind: stats.counter(_REQUEST_KIND_KEYS[kind]) for kind in _REQUEST_KIND_KEYS
         }
         self._observe_ammat = stats.observer("hmc/ammat")

@@ -88,7 +88,7 @@ class Checkpointer:
         try:
             # A liveness beacon, not durable state: a torn or lost write
             # costs one stale reading, so it bypasses repro.persist.
-            self.heartbeat_path.write_text(str(steps))  # repro-lint: disable=RL007
+            self.heartbeat_path.write_text(str(steps))  # repro-lint: disable=RL105
         except OSError:
             pass  # a full disk must not kill the run; mtime just goes stale
         self._next_heartbeat = time.monotonic() + self.heartbeat_seconds

@@ -25,7 +25,7 @@ from repro.vm.page_table import PageTable
 #: PWC-covered levels: PGD, PUD, PMD entry contents (never the PTE).
 _PWC_LEVELS = WALK_LEVELS - 1
 
-#: Literal stats-key table per PWC hit level (auditable by the RL002 rule).
+#: Literal stats-key table per PWC hit level (auditable by the RL101 rule).
 _PWC_HIT_KEYS = (
     "walk/pwc_hits_level0",
     "walk/pwc_hits_level1",

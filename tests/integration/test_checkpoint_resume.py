@@ -421,7 +421,7 @@ def test_chunked_stream_two_interior_cuts_resume_bit_identical(tmp_path):
 
 
 def test_numpy_array_state_round_trips_checkpoint(tmp_path):
-    """RL006 snapshot safety for numpy-backed state (REPRO-CKPT v1).
+    """RL103 snapshot safety for numpy-backed state (REPRO-CKPT v1).
 
     The system graph now carries numpy struct-of-arrays members (each
     process's :class:`repro.vm.mmu.DenseVpnCache`); the checkpoint store

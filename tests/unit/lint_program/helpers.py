@@ -1,16 +1,16 @@
-"""Shared fixture plumbing for the whole-program lint tests.
+"""Shared fixture plumbing for the lint rule tests.
 
 Each test builds a synthetic multi-module mini-project in ``tmp_path``
 (package dirs like ``sim/`` so the package-scoping heuristics apply),
-then lints it with ``program=True`` and asserts on the findings and the
-model.  ``write_project`` returns the root; ``lint_project`` runs the
-engine the same way ``repro lint --program`` does.
+then lints it and asserts on the findings and the model.
+``write_project`` returns the root; ``lint_project`` runs the engine the
+same way ``repro lint`` does, optionally restricted to *rules*.
 """
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.engine import Finding, LintEngine, LintReport
+from repro.lint.engine import Finding, LintEngine, LintReport, Rule
 
 
 def write_project(root: Path, files: Dict[str, str]) -> Path:
@@ -23,10 +23,9 @@ def write_project(root: Path, files: Dict[str, str]) -> Path:
 
 def lint_project(
     root: Path,
-    program: bool = True,
-    cache_path: Optional[Path] = None,
+    rules: Optional[Sequence[Rule]] = None,
 ) -> Tuple[LintReport, LintEngine]:
-    engine = LintEngine(root=root, program=program, cache_path=cache_path)
+    engine = LintEngine(rules=rules, root=root)
     report = engine.run([root])
     return report, engine
 

@@ -1,6 +1,5 @@
 """Symbol table: module naming, import resolution, base-class walking."""
 
-from repro.lint.program.model import build_program_model
 from repro.lint.program.symbols import module_name_for
 
 from tests.unit.lint_program.helpers import write_project
@@ -17,7 +16,7 @@ def _model(tmp_path, files):
     write_project(tmp_path, files)
     from repro.lint.engine import LintEngine
 
-    engine = LintEngine(root=tmp_path, program=True)
+    engine = LintEngine(root=tmp_path)
     engine.run([tmp_path])
     return engine.last_program_model
 

@@ -94,7 +94,7 @@ class TestSuppression:
     def test_pragma_for_other_rule_does_not_suppress(self, tmp_path):
         write_tree(
             tmp_path,
-            {"sim/core.py": "import random  # repro-lint: disable=RL002\n"},
+            {"sim/core.py": "import random  # repro-lint: disable=RL101\n"},
         )
         report = lint(tmp_path)
         assert len(report.failing) == 1
@@ -105,7 +105,7 @@ class TestSeverityAndExitCode:
         from repro.lint.engine import Finding, LintReport
 
         report = LintReport(
-            findings=[Finding("RL002", Severity.INFO, "a.py", 1, 0, "m")]
+            findings=[Finding("RL101", Severity.INFO, "a.py", 1, 0, "m")]
         )
         assert report.failing == []
         assert report.exit_code == 0
