@@ -31,6 +31,8 @@ class CameoHmc(HmcBase):
     """The CAMEO memory controller (64 B swap granularity)."""
 
     scheme_name = "cameo"
+    #: The remap cache reuses PoM's SRC geometry.
+    config_sections = ("pom",)
 
     #: Remap-cache capacity in line entries (same SRAM budget as PoM's SRC,
     #: but each entry covers 64 B instead of 2 KB).

@@ -106,6 +106,7 @@ class MemPodHmc(HmcBase):
     """The MemPod memory controller."""
 
     scheme_name = "mempod"
+    config_sections = ("mempod",)
 
     #: Cap on migrations per pod per interval (the MEA identifies at most
     #: its counter population; migrating all of them each interval is the

@@ -33,6 +33,7 @@ class PomHmc(HmcBase):
     """The PoM memory controller."""
 
     scheme_name = "pom"
+    config_sections = ("pom",)
 
     def __init__(self, config: SystemConfig, os_model: OsModel, stats: StatsRegistry):
         super().__init__(config, os_model, stats)

@@ -53,6 +53,10 @@ QUICK_REPEATS = 2
 #: is real; genuine hot-path regressions blow well past it.
 DEFAULT_MAX_REGRESSION = 0.30
 
+#: The ``params`` two documents must share to compare: the simulated
+#: window.  ``repeats`` only changes how often it is timed.
+SIZING_PARAMS = ("scale", "warmup_ops", "measure_ops", "seed")
+
 #: Thread-count knobs pinned to 1 before any timing.  The simulator's
 #: hot loops are single-threaded Python; a numpy/BLAS runtime that
 #: spins up a worker pool only adds scheduler noise to the measured
@@ -237,15 +241,37 @@ def compare_documents(
 ) -> List[str]:
     """Regressions of *current* vs *baseline* beyond the tolerance.
 
+    Only documents at the same sizing (:data:`SIZING_PARAMS`) compare:
+    any other pair is refused with one problem naming the difference.
     Only configurations present in both documents are compared; a missing
-    configuration is a grid change, not a regression.
+    configuration is a grid change, not a regression.  A shared
+    configuration whose stats digest differs simulated something else,
+    so its throughput is no evidence either way: it is a problem too.
     """
+    current_params = current.get("params", {})
+    baseline_params = baseline.get("params", {})
+    mismatched = [
+        f"{name} {current_params.get(name)} vs {baseline_params.get(name)}"
+        for name in SIZING_PARAMS
+        if current_params.get(name) != baseline_params.get(name)
+    ]
+    if mismatched:
+        return [
+            f"sizing differs from the baseline ({', '.join(mismatched)}); "
+            f"rerun at the baseline's sizing"
+        ]
     problems: List[str] = []
     baseline_results = baseline.get("results", {})
     current_results = current.get("results", {})
     for key, entry in sorted(baseline_results.items()):
         now = current_results.get(key)
         if now is None:
+            continue
+        if now.get("stats_digest") != entry.get("stats_digest"):
+            problems.append(
+                f"{key}: stats digest {now.get('stats_digest')} differs from "
+                f"baseline {entry.get('stats_digest')} (behaviour changed)"
+            )
             continue
         old_rate = float(entry["ops_per_sec"])
         new_rate = float(now["ops_per_sec"])
@@ -390,7 +416,9 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                              "top N functions by cumulative time")
     parser.add_argument("--compare", default=None, metavar="BASELINE_JSON",
                         help="fail if any shared configuration regresses "
-                             "beyond --max-regression vs this baseline")
+                             "beyond --max-regression vs this baseline, "
+                             "or changed its stats digest; refuses a "
+                             "baseline at another sizing")
     parser.add_argument("--max-regression", type=float,
                         default=DEFAULT_MAX_REGRESSION,
                         help="tolerated fractional ops/sec loss for --compare")
@@ -496,7 +524,7 @@ def command_bench(args: argparse.Namespace) -> int:
             print(f"  {line}")
         problems = compare_documents(document, baseline, args.max_regression)
         if problems:
-            print(f"{len(problems)} throughput regression(s) "
+            print(f"{len(problems)} regression(s) or mismatch(es) "
                   f"vs {args.compare}:")
             for problem in problems:
                 print(f"  {problem}")

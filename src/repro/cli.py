@@ -386,6 +386,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 1
     print(f"sweep complete: {len(results)} result(s) "
           f"({report.jobs_already_done} cached, "
+          f"{report.simulations} simulation(s) run, "
+          f"{report.shared} shared a configuration, "
           f"worker relaunches: {report.worker_relaunches}, "
           f"lease reclaims: {report.reclaims}, "
           f"chaos kills: {report.chaos_worker_kills}, "

@@ -45,6 +45,7 @@ class PageSeerHmc(HmcBase):
     """The complete PageSeer memory controller."""
 
     scheme_name = "pageseer"
+    config_sections = ("pageseer",)
 
     def __init__(self, config: SystemConfig, os_model: OsModel, stats: StatsRegistry):
         super().__init__(config, os_model, stats)

@@ -2,10 +2,11 @@
 
 Every sweep — ``ExperimentRunner.run_many``/``prewarm``, ``repro sweep``
 at any ``--jobs``, and a ``repro sweepd`` service — schedules jobs
-through :mod:`repro.sweepd`, and each job is one (scheme, workload,
-variant) simulation that checkpoints into a private directory, resumes
-from ``latest.ckpt`` after a crash or SIGKILL, and lands its metrics as
-an atomically-written JSON payload.  This module is that unit:
+through :mod:`repro.sweepd`.  Each job is one simulation, serving every
+(scheme, workload, variant) request with its configuration; it
+checkpoints into a private directory, resumes from ``latest.ckpt``
+after a crash or SIGKILL, and lands its metrics as an atomically-written
+JSON payload.  This module is that unit:
 
 * :func:`execute_job` — resume-or-build, arm a checkpointer, run to
   completion, return the metrics payload;
@@ -13,9 +14,10 @@ an atomically-written JSON payload.  This module is that unit:
   ``result.json`` that lets a relaunched worker ship a finished result
   without re-simulating;
 * :func:`cache_key` / :func:`fault_signature` — the canonical result
-  cache key (shared with :class:`repro.experiments.runner
-  .ExperimentRunner`), which also seeds deterministic ``sweepd`` job
-  ids (and so the per-job checkpoint directory names);
+  cache key, a digest of the configuration a request simulates (shared
+  with :class:`repro.experiments.runner.ExperimentRunner`), which also
+  seeds deterministic ``sweepd`` job ids (and so the per-job checkpoint
+  directory names);
 * :func:`inject_worker_crash` and the stalling checkpointer — the
   deterministic infrastructure faults (``FaultConfig.worker_crash_rate``
   / ``worker_stall_rate``) every job honours.
@@ -26,9 +28,9 @@ from __future__ import annotations
 import hashlib
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.common.config import CheckConfig, FaultConfig
+from repro.common.config import CheckConfig, FaultConfig, SystemConfig
 from repro.common.errors import WorkerFaultError
 from repro.common.rng import DeterministicRng
 from repro.snapshot.hooks import Checkpointer
@@ -66,9 +68,54 @@ def fault_signature(faults: Optional[FaultConfig]) -> str:
     return f"_faults{digest}"
 
 
+#: Keys computed by this process: a sweep looks each request's key up
+#: several times, and building its configuration is the expensive part.
+_KEYS: Dict[tuple, str] = {}
+
+
+def _variant_mutator(variant: str) -> Optional[Callable[[SystemConfig], SystemConfig]]:
+    """The registered mutator of *variant*, or None for an unknown name."""
+    from repro.experiments.runner import VARIANTS
+
+    if variant not in VARIANTS:
+        # The report's modules register their variants on import.
+        from repro.experiments import ablation_partial, dram_capacity, sensitivity  # noqa: F401
+    return VARIANTS.get(variant)
+
+
+def _config_digest(
+    request: Request,
+    mutator: Optional[Callable[[SystemConfig], SystemConfig]],
+    scale: int,
+    seed: int,
+) -> str:
+    """Digest of the configuration *request* simulates under its scheme."""
+    from repro.sim.system import effective_config, system_config
+    from repro.workloads import workload_by_name
+
+    scheme, workload, variant = request
+    material = repr((scheme, workload, variant))
+    if mutator is not None:
+        try:
+            config = system_config(
+                workload_by_name(workload), scale=scale, seed=seed,
+                config_mutator=mutator,
+            )
+            material = repr(effective_config(scheme, config))
+        except Exception:
+            # An unknown scheme or workload, or a variant that raises,
+            # keys by name: its job runs, and fails on its first attempt.
+            pass
+    return hashlib.sha256(material.encode()).hexdigest()[:16]
+
+
 def cache_key(request: Request, sizing: Sizing, faults: Optional[FaultConfig]) -> str:
     """The canonical result-cache key for one sweep request.
 
+    It digests the configuration the request simulates, after its
+    variant's mutator ran and with the scheme sections its controller
+    does not read at their defaults, so every request that simulates
+    the same run shares one key, one cache entry and one sweep job.
     Identical to :meth:`repro.experiments.runner.ExperimentRunner._key`
     (which delegates here), so results computed by sweep jobs and by
     :meth:`~repro.experiments.runner.ExperimentRunner.run` all land in —
@@ -78,11 +125,18 @@ def cache_key(request: Request, sizing: Sizing, faults: Optional[FaultConfig]) -
 
     scheme, workload, variant = request
     scale, measure_ops, warmup_ops, seed, _check_level = sizing
-    return (
-        f"v{CACHE_VERSION}_{scheme}_{workload}_{variant}"
-        f"_s{scale}_m{measure_ops}_w{warmup_ops}"
-        f"_seed{seed}{fault_signature(faults)}"
-    )
+    mutator = _variant_mutator(variant)
+    memo = (scheme, workload, variant, mutator, scale, measure_ops, warmup_ops,
+            seed, faults)
+    key = _KEYS.get(memo)
+    if key is None:
+        key = _KEYS[memo] = (
+            f"v{CACHE_VERSION}_{scheme}_{workload}"
+            f"_c{_config_digest(request, mutator, scale, seed)}"
+            f"_s{scale}_m{measure_ops}_w{warmup_ops}"
+            f"_seed{seed}{fault_signature(faults)}"
+        )
+    return key
 
 
 def inject_worker_crash(

@@ -2,10 +2,14 @@
 
 Figures 7, 8, 10, 13, and 14 all consume the same PoM / MemPod / PageSeer
 runs over the 26 workloads; Figure 11 adds a no-bandwidth-heuristic
-variant and Section V-C a no-correlation variant.  The runner executes
-each distinct (scheme, workload, variant, sizing) combination once and
-caches the resulting metrics as JSON keyed by every input that affects
-the outcome, including a cache version bumped on model changes.
+variant and Section V-C a no-correlation variant.  The runner caches
+each simulation's metrics as JSON keyed by every input that affects the
+outcome (:func:`repro.experiments.jobcore.cache_key`): the configuration
+the scheme simulates — after the variant's mutator, with the scheme
+sections its controller does not read at their defaults — plus the
+scheme, workload, sizing, fault signature and a cache version bumped on
+model changes.  Requests that simulate the same configuration (a
+baseline under each PageSeer ablation) share one entry and run once.
 
 Sweeps (:meth:`ExperimentRunner.run_many`, :meth:`ExperimentRunner
 .prewarm`) run on the one sweep executor, :func:`repro.sweepd.fleet
@@ -32,7 +36,7 @@ from repro.sim.system import build_system
 from repro.workloads import all_workloads, workload_by_name
 
 #: Bump when a simulator change invalidates cached results.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 DEFAULT_SCALE = 512
 #: The warm-up must cover the longest workload's first full sweep

@@ -17,7 +17,7 @@ accounting that the paper's figures are built from —
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import SystemConfig
@@ -74,6 +74,11 @@ class HmcBase:
     """Common machinery for all memory-controller schemes."""
 
     scheme_name = "base"
+    #: The scheme sections of :class:`SystemConfig` (``pageseer``, ``pom``,
+    #: ``mempod``) this controller reads.  The result-cache key resets the
+    #: other sections to their defaults, so configurations that differ
+    #: only where the scheme never looks share one simulation.
+    config_sections: Tuple[str, ...] = ()
 
     def __init__(self, config: SystemConfig, os_model: OsModel, stats: StatsRegistry):
         self.config = config

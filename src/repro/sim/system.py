@@ -10,12 +10,18 @@ measured window produces a :class:`repro.sim.metrics.RunMetrics`.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.baselines.cameo import CameoHmc
 from repro.baselines.mempod import MemPodHmc
 from repro.baselines.pom import PomHmc
-from repro.common.config import CheckConfig, FaultConfig, SystemConfig
+from repro.common.config import (
+    CheckConfig,
+    FaultConfig,
+    SystemConfig,
+    default_system_config,
+)
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.cache.hierarchy import CacheHierarchy
@@ -243,8 +249,12 @@ class System:
         return self._advance()
 
 
-def build_system(
-    scheme: str,
+#: The scheme sections of :class:`SystemConfig`.  Each controller class
+#: declares the ones it reads in ``config_sections``.
+SCHEME_SECTIONS = ("pageseer", "pom", "mempod")
+
+
+def system_config(
     workload: WorkloadSpec,
     scale: int = 256,
     seed: int = 0,
@@ -252,8 +262,8 @@ def build_system(
     config_mutator: Optional[Callable[[SystemConfig], SystemConfig]] = None,
     check: Optional[CheckConfig] = None,
     faults: Optional[FaultConfig] = None,
-) -> System:
-    """Build a ready-to-run system for one scheme and one workload.
+) -> SystemConfig:
+    """The configuration :func:`build_system` simulates for *workload*.
 
     ``config_mutator`` lets callers adjust the scaled config (ablations:
     disable correlation, disable the bandwidth heuristic, ...).
@@ -261,10 +271,6 @@ def build_system(
     (convenience for the CLI's ``--check`` flags and for tests),
     and ``faults`` does the same for fault injection (``--faults``).
     """
-    import dataclasses
-
-    from repro.common.config import default_system_config
-
     config = default_system_config(
         scale=scale,
         cores=workload.cores,
@@ -277,6 +283,42 @@ def build_system(
         config = dataclasses.replace(config, check=check)
     if faults is not None:
         config = dataclasses.replace(config, faults=faults)
+    return config
+
+
+def effective_config(scheme: str, config: SystemConfig) -> SystemConfig:
+    """*config* as *scheme* sees it: unread scheme sections at defaults.
+
+    Two configurations with the same effective config simulate the same
+    run under *scheme* (``tests/unit/test_cache_key_soundness.py`` holds
+    each controller to its ``config_sections``).  Raises KeyError for an
+    unknown scheme.
+    """
+    read = SCHEMES[scheme].config_sections
+    return dataclasses.replace(config, **{
+        name: type(getattr(config, name))()
+        for name in SCHEME_SECTIONS if name not in read
+    })
+
+
+def build_system(
+    scheme: str,
+    workload: WorkloadSpec,
+    scale: int = 256,
+    seed: int = 0,
+    model_contention: bool = True,
+    config_mutator: Optional[Callable[[SystemConfig], SystemConfig]] = None,
+    check: Optional[CheckConfig] = None,
+    faults: Optional[FaultConfig] = None,
+) -> System:
+    """Build a ready-to-run system for one scheme and one workload.
+
+    The configuration is :func:`system_config`'s, which documents the
+    ``config_mutator``, ``check`` and ``faults`` arguments.
+    """
+    config = system_config(
+        workload, scale, seed, model_contention, config_mutator, check, faults
+    )
 
     # Fail early with a clear message if the workload cannot fit: data
     # pages plus page tables plus controller metadata must fit the scaled

@@ -67,8 +67,13 @@ _POLL_SECONDS = 0.05
 class FleetReport:
     """What happened while the sweep ran (observability, test assertions)."""
 
+    #: Requests in the sweep, and how many the cache already answered.
     jobs_total: int = 0
     jobs_already_done: int = 0
+    #: Distinct configurations the sweep simulated (one job each), and
+    #: requests that shared a configuration with an earlier request.
+    simulations: int = 0
+    shared: int = 0
     worker_relaunches: int = 0
     chaos_worker_kills: int = 0
     chaos_server_restarts: int = 0
@@ -344,7 +349,7 @@ def _collect(runner, requests: List[Request], jobs, report: FleetReport):
 
 
 def _run_in_process(
-    runner, requests: List[Request], root: Path, report: FleetReport, *,
+    runner, requests: List[Request], root: Path, *,
     lease_seconds: float, checkpoint_every: int, sanitize: bool,
 ) -> List[dict]:
     """Drain *requests* through an in-process JobService, one at a time.
@@ -357,9 +362,7 @@ def _run_in_process(
         root, runner.cache_dir,
         max_attempts=runner.max_attempts, lease_seconds=lease_seconds,
     )
-    reply = service.handle(submission(runner, requests))
-    assert reply is not None
-    report.jobs_already_done = len(cast(list, reply["already_done"]))
+    service.handle(submission(runner, requests))
     while True:
         lease = service.handle({"type": "lease", "worker": LOCAL_WORKER})
         service.sync()
@@ -411,6 +414,11 @@ def _open_manifest(root: Path, max_attempts: int) -> JobManifest:
     return manifest
 
 
+def _served(manifest: JobManifest) -> int:
+    """How many requests *manifest*'s jobs serve."""
+    return sum(len(record.requests) for record in manifest.jobs.values())
+
+
 def _record_cached(runner, manifest: JobManifest, requests: List[Request]) -> None:
     """Record a sweep answered from the cache, so ``--resume`` finds it.
 
@@ -421,8 +429,9 @@ def _record_cached(runner, manifest: JobManifest, requests: List[Request]) -> No
     records = [
         build_job(request, runner._sizing(), runner.faults) for request in requests
     ]
-    new_ids, _ = manifest.submit(records)
-    changed = bool(new_ids)
+    served = _served(manifest)
+    manifest.submit(records)
+    changed = _served(manifest) != served
     for record in records:
         job = manifest.jobs[record.job_id]
         if job.state != DONE:
@@ -464,13 +473,18 @@ def run_sweep(
     exhausted its attempts, after every other result is cached.
     """
     requests = list(dict.fromkeys(requests))
-    cached = {
-        request: runner._load(runner._key(*request)) for request in requests
-    }
-    report = FleetReport(jobs_total=len(requests))
+    keys = {request: runner._key(*request) for request in requests}
+    cached = {request: runner._load(keys[request]) for request in requests}
+    report = FleetReport(
+        jobs_total=len(requests),
+        jobs_already_done=sum(metrics is not None for metrics in cached.values()),
+        simulations=len({
+            keys[request] for request, metrics in cached.items() if metrics is None
+        }),
+        shared=len(requests) - len(set(keys.values())),
+    )
     if root is None:
-        if all(metrics is not None for metrics in cached.values()):
-            report.jobs_already_done = len(requests)
+        if report.simulations == 0:
             return cached, report
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
             return run_sweep(
@@ -482,20 +496,19 @@ def run_sweep(
             )
     root = Path(root)
     manifest = _open_manifest(root, runner.max_attempts)
-    if all(metrics is not None for metrics in cached.values()):
+    if report.simulations == 0:
         _record_cached(runner, manifest, requests)
-        report.jobs_already_done = len(requests)
         return cached, report
     jobs = jobs or os.cpu_count() or 1
     if jobs == 1 and chaos is None and fleet_chaos is None:
         described = _run_in_process(
-            runner, requests, root, report,
+            runner, requests, root,
             lease_seconds=lease_seconds,
             checkpoint_every=checkpoint_every,
             sanitize=sanitize,
         )
         return _collect(runner, requests, described, report), report
-    return _run_fleet(
+    results, fleet_report = _run_fleet(
         runner, requests, root,
         workers=jobs,
         chaos=chaos,
@@ -505,13 +518,20 @@ def run_sweep(
         heartbeat_seconds=heartbeat_seconds,
         timeout=None,
     )
+    return results, dataclasses.replace(
+        fleet_report,
+        jobs_already_done=report.jobs_already_done,
+        simulations=report.simulations,
+        shared=report.shared,
+    )
 
 
 def load_sweep(runner, root) -> List[Request]:
     """Point *runner* at the sweep recorded in *root*; return its requests.
 
     The manifest's most recently submitted job fixes the sizing and fault
-    configuration; the requests are every job submitted with them.
+    configuration; the requests are every request a job submitted with
+    them serves.
     """
     manifest = JobManifest(root)
     if not manifest.load():
@@ -534,6 +554,8 @@ def load_sweep(runner, root) -> List[Request]:
             hint=MANIFEST_HINT,
         )
     return [
-        record.request for record in records
+        cast(Request, tuple(request))
+        for record in records
         if record.sizing == last.sizing and record.faults == last.faults
+        for request in record.requests
     ]

@@ -1,11 +1,14 @@
 """Job records: the unit of work the sweep service schedules.
 
-A job is one (scheme, workload, variant) simulation at a fixed sizing
-and fault configuration — exactly one result-cache entry.  Job identity
-is *deterministic*: the id is a digest of the cache key, so resubmitting
-the same sweep (same command, a retried ``submit`` RPC, a client that
-never saw its ack) converges on the same job set instead of duplicating
-work, and a restarted server re-derives the same ids from its manifest.
+A job is one simulation at a fixed sizing and fault configuration —
+exactly one result-cache entry.  Job identity is *deterministic*: the id
+is a digest of the cache key, which digests the configuration the job
+simulates.  Resubmitting the same sweep (same command, a retried
+``submit`` RPC, a client that never saw its ack) converges on the same
+job set instead of duplicating work, a restarted server re-derives the
+same ids from its manifest, and every (scheme, workload, variant)
+request that simulates the same configuration — a baseline under each
+PageSeer ablation, say — is served by one job, which records them all.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class JobRecord:
     """One schedulable simulation and its scheduling state."""
 
     job_id: str
+    #: The request the job simulates (the first one submitted).
     scheme: str
     workload: str
     variant: str
@@ -72,6 +76,9 @@ class JobRecord:
     #: Times a lease expired and the job was reclaimed from a dead or
     #: hung worker (observability; also counts toward ``attempts``).
     reclaims: int = 0
+    #: Every request the job serves, ``[scheme, workload, variant]``
+    #: lists in submission order; the simulated request comes first.
+    requests: List[List[str]] = dataclasses.field(default_factory=list)
 
     # -- live lease state: in-memory only, never persisted ----------------
     lease_worker: Optional[str] = dataclasses.field(default=None, compare=False)
@@ -80,6 +87,10 @@ class JobRecord:
     not_before: float = dataclasses.field(default=0.0, compare=False)
     #: Last heartbeat's simulated-step count (ETA/observability).
     last_steps: int = dataclasses.field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.requests:
+            self.requests = [list(self.request)]
 
     @property
     def request(self) -> Request:
@@ -92,7 +103,7 @@ class JobRecord:
     _PERSISTED = (
         "job_id", "scheme", "workload", "variant", "sizing", "faults",
         "cache_key", "priority", "state", "attempts", "submit_seq",
-        "errors", "result_digest", "reclaims",
+        "errors", "result_digest", "reclaims", "requests",
     )
 
     def to_json(self) -> Dict[str, object]:

@@ -173,17 +173,22 @@ class JobManifest:
     def submit(self, records: Iterable[JobRecord]) -> Tuple[List[str], List[str]]:
         """Add jobs; returns (new ids, already-known ids).
 
-        Resubmitting a known job is a no-op — except that a *pending*
-        job resubmitted on a hotter priority lane is promoted, which is
-        how an interactive request preempts an already-queued bulk job,
-        and a *quarantined* job is requeued with a fresh attempt budget:
-        resubmission is how a resumed sweep retries what it gave up on.
+        Resubmitting a known job only records the requests it now also
+        serves — except that a *pending* job resubmitted on a hotter
+        priority lane is promoted, which is how an interactive request
+        preempts an already-queued bulk job, and a *quarantined* job is
+        requeued with a fresh attempt budget: resubmission is how a
+        resumed sweep retries what it gave up on.
         """
         new_ids: List[str] = []
         known_ids: List[str] = []
         for record in records:
             existing = self.jobs.get(record.job_id)
             if existing is not None:
+                existing.requests.extend(
+                    entry for entry in record.requests
+                    if entry not in existing.requests
+                )
                 if existing.state == QUARANTINED:
                     existing.state = PENDING
                     existing.attempts = 0

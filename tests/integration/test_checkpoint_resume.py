@@ -332,6 +332,74 @@ def test_sweep_resume_skips_completed_requests(tmp_path, monkeypatch):
     }
 
 
+def _done_jobs(root: Path) -> int:
+    try:
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return 0
+    return sum(job["state"] == DONE for job in manifest["jobs"])
+
+
+def _results_digest(output: str) -> str:
+    lines = [line for line in output.splitlines() if line.startswith("results digest: ")]
+    assert len(lines) == 1, output
+    return lines[0].split(": ", 1)[1]
+
+
+def test_sweep_resume_after_kill_returns_every_aliased_request(
+    tmp_path, monkeypatch, capsys
+):
+    """A grid whose baselines share a configuration across variants runs
+    one job per configuration; SIGKILLed mid-sweep, ``--resume`` still
+    returns every request, with the uninterrupted sweep's digest."""
+    from repro.cli import main
+
+    sweep = [
+        "sweep", "--quiet", "--jobs", "1",
+        "--schemes", "pageseer", "pom", "noswap", "--workloads", "lbmx4",
+        "--variants", "default", "nocorr",
+        "--scale", "1024", "--warmup-ops", "1000", "--measure-ops", "1000",
+    ]
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "reference_cache"))
+    assert main(sweep + ["--checkpoint-root", str(tmp_path / "reference")]) == 0
+    reference = capsys.readouterr().out
+    assert "sweep complete: 6 result(s) (0 cached, 4 simulation(s) run, " \
+        "2 shared a configuration" in reference
+
+    root = tmp_path / "victim"
+    env = _subprocess_env()
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *sweep, "--checkpoint-root", str(root)],
+        env=env, cwd=REPO_ROOT,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60.0
+    while _done_jobs(root) == 0 and process.poll() is None:
+        assert time.monotonic() < deadline, "the sweep finished no job in 60s"
+        time.sleep(0.01)
+    process.kill()
+    process.wait(timeout=60)
+    assert process.returncode == -signal.SIGKILL, "the sweep ended before the kill"
+    assert 0 < _done_jobs(root) < 4
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["sweep", "--quiet", "--resume", "--checkpoint-root", str(root)]) == 0
+    resumed = capsys.readouterr().out
+    assert "sweep complete: 6 result(s)" in resumed
+    assert _results_digest(resumed) == _results_digest(reference)
+    manifest = JobManifest(root)
+    assert manifest.load()
+    assert len(manifest.jobs) == 4
+    assert sorted(map(tuple, (
+        request for record in manifest.jobs.values() for request in record.requests
+    ))) == sorted(
+        (scheme, "lbmx4", variant)
+        for scheme in ("pageseer", "pom", "noswap")
+        for variant in ("default", "nocorr")
+    )
+
+
 # -- the batched engine under the cut-point protocol ---------------------------
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench import compare_documents, measure_config
 from repro.cli import main
 
@@ -78,6 +80,41 @@ class TestCompareGate:
     def test_configs_missing_from_current_are_ignored(self):
         current = {"results": {}}
         assert compare_documents(current, self.doc(100.0), 0.30) == []
+
+    @staticmethod
+    def sized(rate, digest="d", **params):
+        sizing = {"scale": 1024, "warmup_ops": 500, "measure_ops": 6000,
+                  "seed": 0, "repeats": 3}
+        sizing.update(params)
+        return {
+            "params": sizing,
+            "results": {"noswap/milcx4": {"ops_per_sec": rate,
+                                          "stats_digest": digest}},
+        }
+
+    @pytest.mark.parametrize("name,value", [
+        ("scale", 512), ("warmup_ops", 100), ("measure_ops", 2000), ("seed", 1),
+    ])
+    def test_refuses_a_baseline_at_another_sizing(self, name, value):
+        """A quick run is no evidence against a full-size baseline, even
+        when it looks faster."""
+        problems = compare_documents(
+            self.sized(500.0, **{name: value}), self.sized(100.0), 0.30
+        )
+        assert len(problems) == 1
+        assert "sizing differs" in problems[0] and name in problems[0]
+
+    def test_repeats_and_retired_params_do_not_matter(self):
+        baseline = self.sized(100.0, engines=["batched", "scalar"])
+        assert compare_documents(self.sized(100.0, repeats=1), baseline, 0.30) == []
+
+    def test_changed_stats_digest_fails(self):
+        """A speedup that changed behaviour is a bug, not a win."""
+        problems = compare_documents(
+            self.sized(500.0, digest="other"), self.sized(100.0), 0.30
+        )
+        assert len(problems) == 1
+        assert "noswap/milcx4" in problems[0] and "digest" in problems[0]
 
     def test_cli_gate_fails_on_regression(self, tmp_path, capsys):
         assert run_bench_cli(tmp_path, "--label", "base") == 0

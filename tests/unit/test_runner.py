@@ -8,6 +8,8 @@ from repro.experiments.runner import (
     ExperimentRunner,
     VARIANTS,
 )
+from repro.sim.system import SCHEMES, effective_config, system_config
+from repro.workloads import workload_by_name
 
 
 def make_runner(tmp_path, **kwargs):
@@ -18,12 +20,42 @@ def make_runner(tmp_path, **kwargs):
     return ExperimentRunner(cache_dir=tmp_path / "cache", **kwargs)
 
 
+BASE_VARIANTS = ("default", "nocorr", "nobw", "nohints")
+
+
 class TestCacheKeys:
-    def test_key_includes_everything(self, tmp_path):
+    """Keys are equal exactly when the effective configurations are."""
+
+    def test_keys_follow_the_effective_configuration(self, tmp_path):
         runner = make_runner(tmp_path)
-        key = runner._key("pageseer", "lbmx4", "nocorr")
+        workload = workload_by_name("lbmx4")
+        requests = [
+            (scheme, "lbmx4", variant)
+            for scheme in sorted(SCHEMES) for variant in BASE_VARIANTS
+        ]
+        effective = {
+            request: effective_config(request[0], system_config(
+                workload, scale=1024, config_mutator=VARIANTS[request[2]],
+            ))
+            for request in requests
+        }
+        for a in requests:
+            for b in requests:
+                same = a[0] == b[0] and effective[a] == effective[b]
+                assert (runner._key(*a) == runner._key(*b)) == same, (a, b)
+
+    def test_baselines_share_one_key_across_pageseer_variants(self, tmp_path):
+        runner = make_runner(tmp_path)
+        for scheme in ("pom", "mempod", "cameo", "noswap"):
+            keys = {runner._key(scheme, "lbmx4", v) for v in BASE_VARIANTS}
+            assert len(keys) == 1, scheme
+        pageseer = {runner._key("pageseer", "lbmx4", v) for v in BASE_VARIANTS}
+        assert len(pageseer) == len(BASE_VARIANTS)
+
+    def test_key_names_version_scheme_workload_and_sizing(self, tmp_path):
+        key = make_runner(tmp_path)._key("pageseer", "lbmx4", "nocorr")
         for fragment in (
-            f"v{CACHE_VERSION}", "pageseer", "lbmx4", "nocorr",
+            f"v{CACHE_VERSION}", "pageseer", "lbmx4",
             "s1024", "m400", "w500", "seed0",
         ):
             assert fragment in key
@@ -31,7 +63,20 @@ class TestCacheKeys:
     def test_different_sizing_different_keys(self, tmp_path):
         a = make_runner(tmp_path)
         b = make_runner(tmp_path, measure_ops=401)
-        assert a._key("x", "y", "z") != b._key("x", "y", "z")
+        assert a._key("pom", "lbmx4", "default") != b._key("pom", "lbmx4", "default")
+
+    def test_different_workloads_different_keys(self, tmp_path):
+        runner = make_runner(tmp_path)
+        assert runner._key("pom", "lbmx4", "default") != \
+            runner._key("pom", "milcx4", "default")
+
+    def test_unknown_names_key_apart_from_known_ones(self, tmp_path):
+        """An unknown variant must not alias default: its job has to run
+        (and fail), not return the default's result."""
+        runner = make_runner(tmp_path)
+        known = runner._key("pom", "lbmx4", "default")
+        assert runner._key("pom", "lbmx4", "no-such-variant") != known
+        assert runner._key("pom", "no-such-workload", "default") != known
 
     def test_corrupt_cache_entry_ignored(self, tmp_path):
         runner = make_runner(tmp_path)

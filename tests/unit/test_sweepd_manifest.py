@@ -79,6 +79,40 @@ class TestSubmission:
         assert manifest.jobs[job_id].priority == PRIORITIES["interactive"]
 
 
+    def test_one_job_serves_every_request_with_its_configuration(self, tmp_path):
+        """PoM never reads the PageSeer section, so its PageSeer variants
+        are one job, which records each request it serves."""
+        manifest = _manifest(tmp_path)
+        (job_id,), known = manifest.submit([
+            _job("pom", variant="default"), _job("pom", variant="nocorr"),
+        ])
+        assert known == [job_id]
+        manifest.submit([_job("pom", variant="nocorr")])
+        assert manifest.jobs[job_id].request == ("pom", "lbmx4", "default")
+        assert manifest.jobs[job_id].requests == [
+            ["pom", "lbmx4", "default"], ["pom", "lbmx4", "nocorr"],
+        ]
+        new, _ = manifest.submit([_job("pageseer", variant="nocorr")])
+        assert len(new) == 1
+
+    def test_served_requests_survive_a_reload(self, tmp_path):
+        manifest = _manifest(tmp_path)
+        manifest.submit([_job("pom", variant="default"), _job("pom", variant="nobw")])
+        manifest.persist()
+        reloaded = _manifest(tmp_path)
+        assert reloaded.load()
+        (record,) = reloaded.jobs.values()
+        assert record.requests == [
+            ["pom", "lbmx4", "default"], ["pom", "lbmx4", "nobw"],
+        ]
+
+    def test_entry_without_requests_serves_its_own(self):
+        entry = _job().to_json()
+        del entry["requests"]
+        record = type(_job()).from_json(entry)
+        assert record.requests == [["pageseer", "lbmx4", "default"]]
+
+
 class TestLeasing:
     def test_interactive_lane_preempts_bulk(self, tmp_path):
         manifest = _manifest(tmp_path)
