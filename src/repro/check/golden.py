@@ -27,9 +27,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.sim.metrics import RunMetrics
 
 #: The pinned matrix: every scheme the paper evaluates head-to-head, on
-#: two small workloads, with and without MMU hints.
+#: two small workloads plus a pointer chase (the page-walk path), with and
+#: without MMU hints.
 GOLDEN_SCHEMES = ("pageseer", "pom", "mempod")
-GOLDEN_WORKLOADS = ("lbmx4", "streamx4")
+GOLDEN_WORKLOADS = ("lbmx4", "streamx4", "barnesx8")
 GOLDEN_VARIANTS = ("default", "nohints")
 
 #: Sizing shared by every golden run: small enough for CI, large enough
