@@ -37,7 +37,7 @@ ALL_SCHEMES = sorted(SCHEMES)
 #: Representative coverage: a pointer-chasing, a streaming, and a
 #: hot/cold workload — together they exercise swaps, write-backs, page
 #: walks, and every hit class on all five schemes.
-WORKLOADS = ["lbmx4", "streamx4", "milcx4"]
+WORKLOADS = ["lbmx4", "streamx4", "milcx4", "barnesx8"]
 
 
 def _record_swap_events(system):
