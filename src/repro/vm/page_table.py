@@ -9,7 +9,7 @@ in PageSeer (Section III-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.addr import (
     LEVEL_BITS,
@@ -79,6 +79,10 @@ class PageTable:
         # the cache can never go stale; it turns the per-op ensure_mapped
         # call from a 4-level index walk into one lookup.
         self._vpn_cache = vpn_cache if vpn_cache is not None else {}
+        # Per-VPN memo of the four walk-entry addresses, by the same
+        # argument: table nodes never move and mappings are only added,
+        # so a mapped VPN's entry addresses never change.
+        self._entry_addresses: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def cr3_ppn(self) -> int:
@@ -131,19 +135,23 @@ class PageTable:
         return ppn
 
     # -- walk support ----------------------------------------------------------
-    def entry_addresses(self, vpn: int) -> List[int]:
+    def entry_addresses(self, vpn: int) -> Tuple[int, ...]:
         """Physical byte addresses of the PGD/PUD/PMD/PTE entries for *vpn*.
 
         The VPN must already be mapped.  Index ``i`` of the result is the
         address the walker reads at level ``i`` (0 = PGD, 3 = PTE).
         """
+        addresses = self._entry_addresses.get(vpn)
+        if addresses is not None:
+            return addresses
         indices = _level_indices(vpn)
-        addresses: List[int] = []
+        found: List[int] = []
         node = self.root
         for level in range(WALK_LEVELS - 1):
-            addresses.append(node.entry_address(indices[level]))
+            found.append(node.entry_address(indices[level]))
             node = node.children[indices[level]]
-        addresses.append(node.entry_address(indices[WALK_LEVELS - 1]))
+        found.append(node.entry_address(indices[WALK_LEVELS - 1]))
+        addresses = self._entry_addresses[vpn] = tuple(found)
         return addresses
 
     def pte_entry_address(self, vpn: int) -> int:
