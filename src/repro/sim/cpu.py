@@ -139,10 +139,11 @@ class Core:
     def execute(self, op: MemoryOp) -> None:
         """Execute one already-fetched operation (the full per-op path).
 
-        The engine fetches ops itself, services pure TLB/cache hits
-        inline, and hands everything else here: translation events
-        (TLB-miss walks, first touches).  The body is the one source of
-        truth for per-op semantics, and the inline paths replicate it.
+        The engine fetches ops itself and runs every op inline, TLB-miss
+        walks included; only first touches (a page still unmapped at the
+        op's turn) come here.  The body is the one source of truth for
+        per-op semantics: the engine's inline paths replicate it, and
+        the scalar test oracle runs every op through it.
         """
         work = op.instructions_before + 1
         self.instructions += work

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.common.addr import page_of
+from repro.common.addr import PAGE_SHIFT
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.vm.page_table import PageTable
@@ -148,7 +148,7 @@ class Mmu:
     def translate(self, now: int, page_table: PageTable, vaddr: int) -> TranslationResult:
         """Translate *vaddr* for the walker's process; VPN must be mapped."""
         pid = page_table.pid
-        vpn = page_of(vaddr)
+        vpn = vaddr >> PAGE_SHIFT
 
         latency = self._l1_latency
         ppn = self.l1_tlb.lookup(pid, vpn)
